@@ -6,7 +6,7 @@
 //
 // Build with -DHIGHRPM_OBS=OFF (or run with HIGHRPM_OBS=0) to see the
 // zero-cost story: spans and histograms vanish, the counters that back
-// functional diagnostics like held_rows() keep working, and the power
+// functional diagnostics like substituted_rows() keep working, and the power
 // estimates are byte-identical either way.
 #include <cstdio>
 #include <limits>
@@ -52,7 +52,6 @@ int main() {
 
   // --- functional diagnostics (live even with the obs layer off) ----------
   std::printf("functional diagnostics:\n");
-  std::printf("  held_rows            %zu\n", framework.held_rows());
   std::printf("  substituted_rows     %zu\n",
               framework.dynamic_trr().substituted_rows());
   std::printf("  rejected_readings    %zu\n",

@@ -30,12 +30,12 @@ struct DynamicTrrConfig {
   /// training (useful for large corpora / sweep benches).
   std::size_t train_stride = 1;
   /// Graceful degradation under sensor faults (EXPERIMENTS.md "Fault model
-  /// and degradation semantics"): non-finite PMC rows are replaced by the
-  /// last good row and kept out of fine-tune windows; IM readings outside
-  /// the plausibility band, or stuck at one value while the prediction
-  /// drifts away, are rejected (treated as missing); estimates are clamped
-  /// into the band. On clean streams none of this ever triggers, so
-  /// enabling it is a no-op.
+  /// and degradation semantics"): IM readings outside the plausibility
+  /// band, or stuck at one value while the prediction drifts away, are
+  /// rejected (treated as missing); estimates are clamped into the band.
+  /// On clean streams none of this ever triggers, so enabling it is a
+  /// no-op. Non-finite PMC rows are held (RowHold) and kept out of
+  /// fine-tune windows whatever this says.
   bool validate_inputs = true;
   /// Plausibility band half-margin around the training labels:
   /// [min - m, max + m] with m = bound_margin * max(1, max - min) — the
@@ -58,6 +58,24 @@ struct DynamicTrrConfig {
   /// switch back to the dense path is seamless.
   bool train_cheap_model = false;
   ml::TreeConfig cheap_tree{};
+};
+
+/// The last-good-row hold, the one policy for a non-finite input row on
+/// every path (DynamicTrr's node row, the lane's tenant row, restore_log):
+/// the row is replaced by the last finite row seen, zeros before the first,
+/// so a degraded tick repeats the previous input instead of passing NaN on.
+class RowHold {
+ public:
+  /// The row to use for `row`: `row` itself (same data) when every value is
+  /// finite, which also makes it the held row; otherwise the held row.
+  /// Allocation-free once the held row has reached the row width.
+  std::span<const double> pass(std::span<const double> row);
+  /// Forget the held row: a new stream holds zeros until its first finite
+  /// row.
+  void reset() noexcept { held_.clear(); }
+
+ private:
+  std::vector<double> held_;
 };
 
 class DynamicTrr {
@@ -98,8 +116,10 @@ class DynamicTrr {
 
   /// Phase 1 of step(): claim this tick's ring slot, build its
   /// [PMC..., P'_prev] row in the SoA window, and run input validation /
-  /// degradation. After it returns, pack_window_into() yields the
-  /// rows x (F+1) window to predict over. Exactly one prepare must be
+  /// degradation. A non-finite PMC row is held (substituted_rows() counts
+  /// it) and its window is not fine-tuned on. After it returns,
+  /// prepared_pmcs() is the row the tick uses and pack_window_into() yields
+  /// the rows x (F+1) window to predict over. Exactly one prepare must be
   /// followed by exactly one step_commit before the next prepare on the
   /// same instance (the fleet stepper interleaves prepares across *nodes*,
   /// never within one).
@@ -110,14 +130,20 @@ class DynamicTrr {
   /// out.cols() == F+1 and row_offset + stream_window_size() rows. This is
   /// how the fleet stepper packs many nodes' windows into one batch matrix.
   void pack_window_into(math::Matrix& out, std::size_t row_offset) const;
+  /// The PMC part of the ring row step_prepare built for `prep`: the
+  /// caller's row, or the held row when it was not finite.
+  std::span<const double> prepared_pmcs(const StepPrep& prep) const {
+    return win_rows_.row(prep.slot).first(win_rows_.cols() - 1);
+  }
   /// Phase 2 of step() for callers that predicted the window themselves
   /// (batched): apply validation clamps, stuck-sensor logic, measurement
   /// supersede + online fine-tune to the model's raw estimate for the
   /// newest row, record bookkeeping, and return the final estimate.
   double step_commit(const StepPrep& prep, double raw_estimate);
-  /// The predict leg of step() on this instance's own model — for
-  /// unbatched callers between step_prepare and step_commit. Zero heap
-  /// allocations once the member scratch is warm.
+  /// The predict leg of step() on this instance's own model — a batch of
+  /// one, for callers between step_prepare and step_commit that do not
+  /// batch lanes through a shared model. Zero heap allocations once the
+  /// member scratch is warm.
   double predict_prepared();
   /// Cheap-path predict leg: the decision-tree ResModel on this tick's
   /// [PMC..., P'_prev] row (an allocation-free node walk). Requires
@@ -195,8 +221,8 @@ class DynamicTrr {
   /// Per-tick scratch, reused across steps so the steady-state predict path
   /// performs zero heap allocations once warm.
   math::Matrix steps_scratch_;
-  std::vector<double> preds_scratch_;
-  ml::SequenceRegressor::Workspace ws_;
+  math::Matrix preds_scratch_;
+  ml::SequenceRegressor::BatchWorkspace ws_;
   double prev_estimate_ = 0.0;
   bool have_prev_ = false;
   obs::Counter finetunes_;
@@ -206,8 +232,7 @@ class DynamicTrr {
   double p_upper_ = 0.0;
   double p_bottom_ = 0.0;
   // Degradation state (stream-local) and counters (cumulative).
-  std::vector<double> last_good_pmcs_;
-  bool have_last_good_ = false;
+  RowHold hold_;
   double last_im_value_ = 0.0;
   bool have_last_im_ = false;
   std::size_t im_repeats_ = 0;

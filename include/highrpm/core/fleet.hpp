@@ -1,21 +1,20 @@
 // highrpm::core::FleetStepper — batched structure-of-arrays stepping of N
 // monitored nodes.
 //
-// The per-node streaming path (HighRpm::on_tick) steps one node at a time:
-// held-row substitution, DynamicTrr::step, Srr::predict_one — a dot product
-// per output unit per node per tick. FleetStepper re-expresses the same
-// tick for a whole fleet: nodes are grouped into fixed shards, each shard
-// packs its lanes' ring windows into one contiguous batch matrix, the RNN
-// runs one GEMM per layer per shard (shared-weights fleets), the SRR MLP
-// runs one GEMM per layer per shard, and shards execute in parallel on the
-// runtime thread pool.
+// Each node is one Lane cloned from a trained golden HighRpm, and a tick is
+// step_lanes (lane.hpp) — the same per-tick pipeline the facade runs as a
+// cohort of one. Nodes are grouped into fixed shards; each shard packs its
+// lanes' ring windows into one contiguous batch matrix, the RNN runs one
+// GEMM per layer per shard (shared-weights fleets), the SRR MLP runs one
+// GEMM per layer per shard, and shards execute in parallel on the runtime
+// thread pool.
 //
 // Determinism contract: every lane's outputs are byte-identical to the
 // serial per-node path (a HighRpm clone stepped alone) at every fleet
-// size, shard size, and thread count. The batched kernels evaluate the
-// scalar path's expressions in the scalar path's operand order, lanes
-// never read each other's state, and the shard partition is a pure
-// function of (nodes, shard_lanes) — never of the thread count.
+// size, shard size, and thread count. The batched kernels are bit-identical
+// to a batch of one, lanes never read each other's state, and the shard
+// partition is a pure function of (nodes, shard_lanes) — never of the
+// thread count.
 #pragma once
 
 #include <functional>
@@ -44,9 +43,10 @@ struct FleetConfig {
 class FleetStepper {
  public:
   /// Build a fleet of `nodes` lanes from a trained golden instance: each
-  /// lane clones the golden DynamicTrr (per-node window/stream state, and
-  /// per-node weights when online fine-tuning is on); the SRR is shared —
-  /// streaming never mutates its weights.
+  /// lane clones the golden's lane (per-node window/stream state, per-node
+  /// weights when online fine-tuning is on, and its own attribution head
+  /// when the golden self-calibrates); the SRR is shared — streaming never
+  /// mutates its weights.
   FleetStepper(const HighRpm& golden, std::size_t nodes, FleetConfig cfg = {});
 
   /// Per-shard callbacks invoked on the thread executing the shard,
@@ -66,31 +66,16 @@ class FleetStepper {
   /// attribution head, pass tenant_pmcs (nodes x K*kNumPmcEvents, row i =
   /// node i's concatenated per-cgroup rows) and out[i] additionally gets
   /// its tenant split — bit-identical to the serial facade's 3-arg
-  /// on_tick, batched as one extra GEMM per MLP layer per shard. Leaving
-  /// tenant_pmcs null skips attribution (out[i].tenants stays 0).
+  /// on_tick: one extra GEMM per MLP layer per shard for a shared head, or
+  /// each lane's own self-calibrating head. Leaving tenant_pmcs null skips
+  /// attribution (out[i].tenants stays 0).
   void step_tick(const math::Matrix& pmcs,
                  std::span<const std::optional<double>> readings,
                  std::span<PowerEstimate> out, const ShardHooks& hooks = {},
                  const math::Matrix* tenant_pmcs = nullptr);
 
-  /// Caller-owned scratch for step_cohort. All buffers reuse their
-  /// allocations call over call: once a Cohort has seen its largest cohort
-  /// size, further steps through it perform zero heap allocations.
-  struct Cohort {
-    math::Matrix rows;       // L x F substituted PMC rows
-    math::Matrix win_batch;  // (L*T) x (F+1) packed ring windows
-    math::Matrix rnn_out;    // L x T batched RNN predictions
-    ml::SequenceRegressor::BatchWorkspace rnn_ws;
-    std::vector<DynamicTrr::StepPrep> preps;
-    std::vector<double> raw;     // raw RNN estimate per lane
-    std::vector<double> node_w;  // committed node power per lane
-    std::vector<ComponentEstimate> comp;
-    Srr::BatchScratch srr;
-    // K-way attribution staging (untouched when tenant_pmcs is null).
-    math::Matrix trows;       // L x K*F substituted tenant rows
-    math::Matrix tenant_out;  // L x K attribution estimates
-    Srr::BatchScratch tsrr;
-  };
+  /// Caller-owned scratch for step_cohort (see CohortScratch).
+  using Cohort = CohortScratch;
 
   /// Step an arbitrary cohort of lanes one tick — the primitive both
   /// step_tick (one cohort per shard) and the serve daemon's consumer pool
@@ -103,7 +88,8 @@ class FleetStepper {
   /// share mutable state, the SRR/shared-RNN models are only read, and all
   /// per-call staging lives in the caller's scratch. lane_ids must not
   /// contain duplicates. Outputs are bit-identical to stepping each lane
-  /// through the serial per-node path, for any cohort grouping.
+  /// through the serial per-node path, for any cohort grouping: both are
+  /// step_lanes.
   /// tenant_pmcs / tenant_row0 mirror pmcs / pmc_row0 for the attribution
   /// input (row tenant_row0 + li = cohort position li's tenant row); null
   /// skips attribution for this cohort.
@@ -125,30 +111,13 @@ class FleetStepper {
   /// True when every lane shares one set of RNN weights (online fine-tune
   /// disabled), enabling the one-GEMM-per-layer cross-node fast path.
   bool shared_rnn() const noexcept { return shared_rnn_; }
-  const DynamicTrr& node_trr(std::size_t i) const { return lanes_[i].trr; }
-  /// Lane i's adaptive-sampling controller, or nullptr when the golden
-  /// instance was not adaptive. Each lane observes its own committed
-  /// estimates, so heterogeneous fleets diverge in mode lane by lane while
-  /// every lane's decision stream stays byte-identical to the serial facade.
-  const adapt::Controller* lane_controller(std::size_t i) const {
-    return lanes_[i].ctl ? &*lanes_[i].ctl : nullptr;
-  }
+  /// Lane i's state: its DynamicTrr, its adaptive controller (present when
+  /// the golden was adaptive; each lane observes its own committed
+  /// estimates, so modes diverge lane by lane while every decision stream
+  /// stays byte-identical to the serial facade) and its self-calibration.
+  const Lane& lane(std::size_t i) const { return lanes_[i]; }
 
  private:
-  struct Lane {
-    DynamicTrr trr;
-    /// Last finite PMC row — substituted on degraded ticks so TRR and SRR
-    /// see the same held input (mirrors HighRpm::on_tick).
-    std::vector<double> last_good;
-    bool have_last_good = false;
-    /// Same hold policy for the concatenated tenant row.
-    std::vector<double> last_good_tenant;
-    bool have_last_good_tenant = false;
-    /// Present iff the golden instance was adaptive; observed after every
-    /// commit, mirroring HighRpm::on_tick.
-    std::optional<adapt::Controller> ctl;
-  };
-
   /// Per-shard state, owned by exactly one parallel_for index per tick:
   /// the shard's contiguous lane range as a prebuilt cohort id list plus
   /// its own Cohort scratch (reused tick over tick). A shard tick is just
@@ -161,14 +130,16 @@ class FleetStepper {
     Cohort scratch;
   };
 
+  /// What every lane shares, read-only during a step.
+  LaneModels models() const;
+
   FleetConfig cfg_;
   /// Shared SRR (streaming never fine-tunes it) and, for shared-weights
   /// fleets, the one RNN every lane's window batches through. Kept as
   /// copies so concurrent shard reads never alias a lane's scratch.
   Srr srr_;
-  /// Shared K-way attribution head (copied from the golden; const at
-  /// streaming time — the fleet path never self-calibrates, which is why
-  /// the constructor rejects a golden with self_cal enabled).
+  /// Shared K-way attribution head (copied from the golden). Unused when
+  /// the lanes self-calibrate their own heads.
   Srr tenant_srr_;
   std::size_t tenants_ = 0;
   ml::SequenceRegressor shared_model_;

@@ -8,53 +8,18 @@
 //   on_tick():     online streaming monitoring (DynamicTRR + SRR)
 #pragma once
 
-#include <array>
 #include <optional>
 #include <span>
 
 #include "highrpm/adapt/controller.hpp"
 #include "highrpm/core/dynamic_trr.hpp"
+#include "highrpm/core/lane.hpp"
 #include "highrpm/core/sampler.hpp"
 #include "highrpm/core/srr.hpp"
 #include "highrpm/core/static_trr.hpp"
 #include "highrpm/measure/collector.hpp"
-#include "highrpm/obs/counter.hpp"
 
 namespace highrpm::core {
-
-/// Fixed capacity for per-tenant estimates in PowerEstimate: keeps the
-/// per-tick output type allocation-free (the 0-alloc steady-state contract
-/// extends to K-way attribution). Raising it is an ABI-ish change — fleet
-/// scratch and serve snapshots size off it.
-inline constexpr std::size_t kMaxTenants = 8;
-
-/// SmartWatts-style self-calibration: instead of fine-tuning on a fixed
-/// schedule, the facade tracks the attribution head's drift online and
-/// triggers the active-learning-style fine-tune only when the model has
-/// actually wandered. The drift signal is measurement-anchored: on every
-/// accepted IM reading, compare the head's clamped pre-projection output
-/// sum against the trusted budget (reading - P_Other) — a latent workload
-/// change (new instruction mix, new energy weights) shows up there even
-/// when every PMC looks the same. The EWMA of that relative error crossing
-/// drift_threshold_pct triggers a fine-tune on the buffered recent
-/// measured ticks, with pseudo-labels rescaled to the node budget (the
-/// same consistency calibration active_learning applies).
-struct SelfCalConfig {
-  bool enabled = false;
-  /// EWMA(relative drift %) level that triggers recalibration.
-  double drift_threshold_pct = 8.0;
-  /// EWMA smoothing factor (weight of the newest measured tick).
-  double ewma_alpha = 0.2;
-  /// Measured-tick ring buffer used as the recalibration set; also the
-  /// minimum number of buffered ticks before a trigger can fire.
-  std::size_t buffer_ticks = 48;
-  std::size_t min_buffered = 24;
-  /// Ticks (total, not just measured) between triggers — hysteresis so a
-  /// single drifted window cannot thrash repeated fine-tunes.
-  std::size_t cooldown_ticks = 200;
-  /// Fine-tune epochs per trigger (matches active_finetune_epochs scale).
-  std::size_t epochs = 2;
-};
 
 struct HighRpmConfig {
   std::size_t miss_interval = 10;
@@ -94,20 +59,6 @@ struct HighRpmConfig {
   adapt::ControllerConfig adapt{};
 };
 
-/// One tick's power picture as HighRPM reports it.
-struct PowerEstimate {
-  double node_w = 0.0;
-  double cpu_w = 0.0;
-  double mem_w = 0.0;
-  /// True when node_w is a real IM reading rather than a TRR estimate.
-  bool measured = false;
-  /// K-way attribution (first `tenants` entries valid; 0 when attribution
-  /// is off). Fixed array, not a vector: PowerEstimate is returned every
-  /// tick and must stay allocation-free.
-  std::size_t tenants = 0;
-  std::array<double, kMaxTenants> tenant_w{};
-};
-
 /// Offline restoration of a whole run.
 struct LogRestoration {
   std::vector<double> node_w;  // StaticTRR-merged node power per tick
@@ -143,6 +94,10 @@ class HighRpm {
 
   // --- streaming mode ---
   void reset_stream();
+  /// One streaming tick. The facade is a cohort of one: its single lane
+  /// steps through step_lanes, the same per-tick pipeline FleetStepper and
+  /// the serve daemon run. A non-finite PMC row is held (DynamicTrr's
+  /// RowHold) and a non-finite IM reading counts as missed.
   PowerEstimate on_tick(std::span<const double> pmcs,
                         std::optional<double> im_reading);
 
@@ -151,121 +106,75 @@ class HighRpm {
   /// values). Runs the node pipeline (DynamicTRR + component SRR) exactly
   /// like the 2-arg overload — same estimates, same adaptive decisions —
   /// then fills PowerEstimate::tenant_w from the attribution head. A
-  /// non-finite tenant row is held (last good row substituted) just like
-  /// the node row. When self-calibration is enabled, measured ticks feed
-  /// the drift EWMA and may trigger an online fine-tune of the attribution
-  /// head; the trigger itself allocates (training is not a steady-state
-  /// path), but non-trigger ticks stay 0-alloc once warm.
+  /// non-finite tenant row is held just like the node row. When
+  /// self-calibration is enabled, measured ticks feed the drift EWMA and
+  /// may trigger an online fine-tune of the attribution head; the trigger
+  /// itself allocates (training is not a steady-state path), but
+  /// non-trigger ticks stay 0-alloc once warm.
   PowerEstimate on_tick(std::span<const double> pmcs,
                         std::span<const double> tenant_pmcs,
                         std::optional<double> im_reading);
 
   bool trained() const noexcept {
-    return dynamic_trr_.fitted() && srr_.fitted();
+    return lane_.trr.fitted() && srr_.fitted();
   }
   const HighRpmConfig& config() const noexcept { return cfg_; }
-  DynamicTrr& dynamic_trr() noexcept { return dynamic_trr_; }
+  DynamicTrr& dynamic_trr() noexcept { return lane_.trr; }
   Srr& srr() noexcept { return srr_; }
-  /// Const access for read-only consumers (FleetStepper clones per-lane
-  /// TRR state and shares the SRR from a trained golden instance).
-  const DynamicTrr& dynamic_trr() const noexcept { return dynamic_trr_; }
+  const DynamicTrr& dynamic_trr() const noexcept { return lane_.trr; }
   const Srr& srr() const noexcept { return srr_; }
-  /// The K-way attribution head (fitted by fit_attribution).
-  Srr& attribution_srr() noexcept { return tenant_srr_; }
-  const Srr& attribution_srr() const noexcept { return tenant_srr_; }
-  bool attribution_trained() const noexcept { return tenant_srr_.fitted(); }
+  /// The facade's one lane: the per-stream state (DynamicTrr, controller,
+  /// tenant hold, self-calibration) FleetStepper clones per node.
+  const Lane& lane() const noexcept { return lane_; }
+  /// The K-way attribution head (fitted by fit_attribution). Under
+  /// self-calibration it is the lane's own head, recalibrated online.
+  Srr& attribution_srr() noexcept {
+    return lane_.self_cal ? lane_.self_cal->head() : tenant_srr_;
+  }
+  const Srr& attribution_srr() const noexcept {
+    return lane_.self_cal ? lane_.self_cal->head() : tenant_srr_;
+  }
+  bool attribution_trained() const noexcept {
+    return attribution_srr().fitted();
+  }
   /// Self-calibration diagnostics: current drift EWMA (percent of the IM
   /// budget) and cumulative drift-triggered fine-tunes (obs::Counter, safe
-  /// to poll from a monitor thread).
-  double self_cal_drift_pct() const noexcept { return drift_ewma_pct_; }
+  /// to poll from a monitor thread). 0 when self-calibration is off.
+  double self_cal_drift_pct() const noexcept {
+    return lane_.self_cal ? lane_.self_cal->drift_pct() : 0.0;
+  }
   std::size_t self_cal_triggers() const noexcept {
-    return static_cast<std::size_t>(selfcal_triggers_.value());
+    return lane_.self_cal ? lane_.self_cal->triggers() : 0;
   }
   std::size_t active_learning_rounds() const noexcept { return al_rounds_; }
-  /// Streaming ticks whose PMC row was non-finite and had to be held
-  /// (cumulative across streams, like DynamicTrr's counters). obs::Counter
-  /// so a monitor thread polling the diagnostic never races the stream
-  /// thread incrementing it.
-  std::size_t held_rows() const noexcept {
-    return static_cast<std::size_t>(held_rows_.value());
-  }
   /// The adaptive-sampling controller, or nullptr when cfg.adaptive is off.
   /// Exposes mode / budget / flap counters for monitors and benches; the
   /// standing Decision also carries the sensor cadence (PMC stride, IM
   /// interval factor) the *caller* is expected to apply to its sensors —
   /// HighRpm itself only consumes the cheap-vs-LSTM routing.
   const adapt::Controller* controller() const noexcept {
-    return controller_ ? &*controller_ : nullptr;
+    return lane_.ctl ? &*lane_.ctl : nullptr;
   }
 
  private:
   /// Fit a fresh StaticTRR on a run's sparse IM readings and restore it.
   std::vector<double> static_restore(const measure::CollectedRun& run) const;
-  /// Drift-triggered fine-tune of the attribution head on the buffered
-  /// measured ticks, with pseudo-labels rescaled to the node budget.
-  void recalibrate_attribution();
+  /// Both on_tick overloads: step the one lane (empty tenant_pmcs skips
+  /// attribution).
+  PowerEstimate step(std::span<const double> pmcs,
+                     std::optional<double> im_reading,
+                     std::span<const double> tenant_pmcs);
 
   HighRpmConfig cfg_;
-  DynamicTrr dynamic_trr_;
+  Lane lane_;
   Srr srr_;
-  /// K-way attribution head (cfg_.tenants outputs). Default-constructed but
-  /// unfitted when attribution is off.
+  /// K-way attribution head (cfg_.tenants outputs), shared by every clone.
+  /// Default-constructed but unfitted when attribution is off; unused under
+  /// self-calibration, where the lane owns its head.
   Srr tenant_srr_;
   ReinforcementSampler sampler_;
   std::size_t al_rounds_ = 0;
-  /// Last finite PMC row seen by on_tick — substituted on degraded ticks so
-  /// TRR and SRR see the same held input.
-  std::vector<double> last_good_row_;
-  /// Same hold policy for the concatenated tenant PMC row.
-  std::vector<double> last_good_tenant_row_;
-  /// Reused across ticks so the steady-state SRR predict performs zero heap
-  /// allocations once warm.
-  Srr::Scratch srr_scratch_;
-  Srr::Scratch tenant_scratch_;
-  obs::Counter held_rows_;
-  // --- self-calibration state (cfg_.self_cal) ---
-  /// Ring buffer of recent measured ticks: tenant rows + the IM reading.
-  /// Sized at construction; the recalibration set when a trigger fires.
-  math::Matrix selfcal_rows_;
-  std::vector<double> selfcal_node_w_;
-  std::size_t selfcal_count_ = 0;  // valid entries (saturates at capacity)
-  std::size_t selfcal_head_ = 0;   // next ring slot to overwrite
-  double drift_ewma_pct_ = 0.0;
-  bool drift_seeded_ = false;
-  std::size_t selfcal_cooldown_ = 0;  // ticks until the next trigger may fire
-  obs::Counter selfcal_triggers_;
-  /// Present iff cfg_.adaptive. Observed after every committed tick;
-  /// decisions apply from the next tick (window-boundary granularity).
-  std::optional<adapt::Controller> controller_;
-};
-
-/// Control-node service managing per-compute-node HighRPM instances
-/// (paper §4.1: "installed as a service on the control node ... shared with
-/// other computing nodes", with per-node fine-tuning capturing inter-node
-/// power variation). Nodes are cloned from a golden trained instance and
-/// then drift apart through their own active-learning updates.
-class MonitorService {
- public:
-  explicit MonitorService(HighRpm golden);
-
-  /// Register a compute node; returns its private instance.
-  void register_node(const std::string& node_id);
-  bool has_node(const std::string& node_id) const;
-  std::size_t node_count() const noexcept { return nodes_.size(); }
-
-  PowerEstimate on_tick(const std::string& node_id,
-                        std::span<const double> pmcs,
-                        std::optional<double> im_reading);
-  void active_learning(const std::string& node_id,
-                       const measure::CollectedRun& run);
-
-  const HighRpm& node(const std::string& node_id) const;
-
- private:
-  HighRpm& node_mut(const std::string& node_id);
-
-  HighRpm golden_;
-  std::vector<std::pair<std::string, HighRpm>> nodes_;
+  CohortScratch cohort_;
 };
 
 }  // namespace highrpm::core

@@ -42,28 +42,11 @@ class SequenceRegressor {
   void fit(std::span<const data::SequenceSample> samples, bool reset = true,
            std::size_t epochs_override = 0);
 
-  /// Caller-owned reusable buffers for the allocation-free predict path.
-  /// A workspace belongs to one caller at a time (confine it to a single
-  /// thread); reuse it across calls so that after the first predict_into at
-  /// a given model shape, subsequent calls perform zero heap allocations.
-  struct Workspace {
-    /// Per-layer cell-step scratch.
-    struct StepScratch {
-      std::vector<double> z;      // gate pre-activations
-      std::vector<double> gates;  // gate post-activations
-      std::vector<double> rh;     // GRU reset-gated hidden state
-    };
-    std::vector<StepScratch> layers;
-    math::Matrix h;         // layers x units hidden state
-    math::Matrix c;         // layers x units LSTM cell state
-    std::vector<double> x;  // current step input
-    // Layer-outer predict buffers: the standardized window, the bias-folded
-    // input projection of the current layer, and ping-pong per-step output
-    // sequences (layer l writes one, layer l+1 reads it).
-    math::Matrix xs;      // T x F
-    math::Matrix zx;      // T x gates
-    math::Matrix hseq_a;  // T x units
-    math::Matrix hseq_b;  // T x units
+  /// Per-layer cell-step scratch (gate pre- and post-activations).
+  struct StepScratch {
+    std::vector<double> z;      // gate pre-activations
+    std::vector<double> gates;  // gate post-activations
+    std::vector<double> rh;     // GRU reset-gated hidden state
   };
 
   /// Caller-owned buffers for the cross-lane batched predict path. One
@@ -77,26 +60,21 @@ class SequenceRegressor {
     math::Matrix zu;      // lanes x gates recurrent projection at step t
     math::Matrix hseq_a;  // (lanes*T) x units ping-pong layer outputs
     math::Matrix hseq_b;  // (lanes*T) x units
-    Workspace::StepScratch scratch;
+    StepScratch scratch;
   };
 
-  /// Per-step predictions for a T x F window (any T >= 1).
+  /// Per-step predictions for a T x F window (any T >= 1): a batch of one
+  /// through predict_batch_into.
   std::vector<double> predict(const math::Matrix& steps) const;
-  /// predict() into caller-owned output + workspace buffers: bit-identical
-  /// results, no heap allocation once the buffers are warm. `out` is
-  /// resized to T. Thread-safe for concurrent calls on the same const model
-  /// as long as each caller brings its own workspace.
-  void predict_into(const math::Matrix& steps, std::vector<double>& out,
-                    Workspace& ws) const;
-  /// Batched predict_into over `lanes` independent windows of equal length,
+  /// Per-step predictions for `lanes` independent windows of equal length,
   /// packed lane-major into `windows` ((lanes*T) x F, lane i's window in
-  /// rows [i*T, (i+1)*T)). `out` becomes lanes x T, row i bit-identical to
-  /// predict_into on lane i's window alone: each layer runs one bias-folded
-  /// input-projection GEMM over all lanes*T rows and one recurrent GEMM per
-  /// time step over all lanes, and every per-cell expression keeps the
-  /// scalar path's operand order and association. No allocation once the
-  /// workspace is warm; thread-safe on a const model with per-caller
-  /// workspaces.
+  /// rows [i*T, (i+1)*T)). `out` becomes lanes x T, and row i depends only
+  /// on lane i's window: each layer runs one bias-folded input-projection
+  /// GEMM over all lanes*T rows and one recurrent GEMM per time step over
+  /// all lanes, and every per-cell expression keeps the training forward
+  /// pass's operand order and association, so a lane's outputs do not
+  /// depend on the batch it rides in. No allocation once the workspace is
+  /// warm; thread-safe on a const model with per-caller workspaces.
   void predict_batch_into(const math::Matrix& windows, std::size_t lanes,
                           math::Matrix& out, BatchWorkspace& ws) const;
 
@@ -138,28 +116,20 @@ class SequenceRegressor {
   std::size_t gate_count() const {
     return (cfg_.cell == CellType::kLstm ? 4 : 3) * cfg_.units;
   }
-  /// Size the workspace buffers for this model's shape and zero the
-  /// recurrent state. No allocation when the workspace is already warm.
-  void prepare(Workspace& ws) const;
   /// One cell step, in place: h_inout holds h_{t-1} on entry and h_t on
   /// return (safe because every gate pre-activation is fully computed from
   /// h_{t-1} before any element of h is overwritten, and the GRU update
   /// reads h_prev[j] in the same expression that writes h[j]); c_inout is
-  /// the LSTM cell state, updated likewise. Uses only the scratch buffers —
-  /// no allocation once they are warm.
-  void cell_step_into(const CellParams& p, std::span<const double> x,
-                      std::span<double> h_inout, std::span<double> c_inout,
-                      Workspace::StepScratch& scratch) const;
-  /// cell_step_into with the input projection `b + w·x` already folded into
-  /// `zx` (one GEMM row per step) and, optionally, the recurrent projection
-  /// `u·h_{t-1}` precomputed in `zu` (pass empty to compute the per-gate
-  /// dots here). Gate arithmetic keeps cell_step_into's operand order and
-  /// association, so the updated h/c are bit-identical to it.
+  /// the LSTM cell state, updated likewise. `zx` holds the input projection
+  /// `b + w·x`, and `zu`, when not empty, the recurrent projection
+  /// `u·h_{t-1}` (empty: the per-gate dots run here). A gate's
+  /// pre-activation is always `(b + w·x) + u·h`. Uses only the scratch
+  /// buffers — no allocation once they are warm.
   void cell_step_preproj_into(const CellParams& p, std::span<const double> zx,
                               std::span<const double> zu,
                               std::span<double> h_inout,
                               std::span<double> c_inout,
-                              Workspace::StepScratch& scratch) const;
+                              StepScratch& scratch) const;
   /// Forward a whole window, returning per-step head outputs (scaled space);
   /// caches are per layer per step when requested (training path).
   std::vector<double> forward(const math::Matrix& steps_scaled,

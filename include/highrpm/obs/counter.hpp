@@ -2,17 +2,17 @@
 //
 // Counter is deliberately NOT gated by HIGHRPM_OBS_ENABLED: components use
 // it for *functional* diagnostics (DynamicTrr::rejected_readings(),
-// HighRpm::held_rows(), ...) whose values callers assert on, so the type
-// must keep counting even in a no-op observability build. What the
-// HIGHRPM_OBS gate removes is the *telemetry* layer on top — registry
+// DynamicTrr::substituted_rows(), ...) whose values callers assert on, so
+// the type must keep counting even in a no-op observability build. What
+// the HIGHRPM_OBS gate removes is the *telemetry* layer on top — registry
 // registration, span timing, and export (see registry.hpp / span.hpp).
 //
 // All operations use relaxed atomics: counters carry no ordering contract,
 // only totals, and at HighRPM's increment rates (a handful per monitoring
 // tick) a relaxed fetch_add is far below measurement noise. Copying loads
-// the source's value — that keeps classes with Counter members (HighRpm is
-// cloned per compute node by MonitorService) copyable, each copy continuing
-// from the source's count.
+// the source's value — that keeps classes with Counter members (HighRpm and
+// its lane are cloned per compute node) copyable, each copy continuing from
+// the source's count.
 //
 // Templated over an atomics backend (verify/backend.hpp) so the model
 // checker can prove fetch_add loses no updates and the value is monotone

@@ -142,8 +142,7 @@ class Daemon {
     // Ingestion accounting. Counters are multi-writer-safe; pending_drop
     // and stepped are plain because each has exactly one writing thread
     // (the node's producer / the node's owning consumer).
-    obs::Counter offered, accepted, shed, dropped_readings, backpressure,
-        held;
+    obs::Counter accepted, shed, dropped_readings, backpressure, held;
     std::uint32_t pending_drop = 0;  // producer-side shed run length
     std::uint64_t stepped = 0;       // consumer-side model ticks (incl. held)
     std::size_t suite_idx = 0;

@@ -41,7 +41,7 @@ struct NodeStatus {
   std::uint64_t tenants = 0;
   std::array<double, kSnapshotMaxTenants> tenant_w{};
   // Ingestion accounting (from the node's counters, read at snapshot time).
-  std::uint64_t offered = 0;
+  std::uint64_t offered = 0;  // accepted + shed + dropped_readings
   std::uint64_t accepted = 0;
   std::uint64_t shed = 0;             // sheddable ticks dropped at a full ring
   std::uint64_t dropped_readings = 0; // reading ticks lost despite retries

@@ -8,6 +8,9 @@
 #             (table5/table7/adaptive/attribution) must match the bench
 #             output byte for byte; also runs the bench-args arg-hygiene
 #             label (usage/exit-code regressions for every bench CLI)
+#   native    ctest -L golden in a -march=native build (native preset): the
+#             goldens must not depend on the build host's ISA (FMA
+#             contraction is pinned off in the root CMakeLists.txt)
 #   property  ctest -L property in the werror build: seeded invariant suites
 #   verify    ctest -L verify in the verify-preset build: deterministic
 #             model checking of the lock-free serve/obs templates
@@ -20,6 +23,9 @@
 #   soak      HIGHRPM_SOAK=1 ctest -L soak in the werror build: long-run
 #             daemon determinism (byte-identical final snapshots across
 #             consumer thread counts under real producer threads)
+#   repeat    ctest -L 'sanitize|soak' --repeat until-fail:20 in the werror
+#             build: a test that depends on the thread interleaving fails
+#             here rather than in a later run
 #   tidy      clang-tidy over the compile database   [skipped if not installed]
 #   asan      full ctest under -fsanitize=address
 #   ubsan     full ctest under -fsanitize=undefined (no-recover: UB = failure)
@@ -48,8 +54,8 @@ STEPS=()
 for arg in "$@"; do
   case "$arg" in
     --format) WANT_FORMAT=1 ;;
-    lint|werror|golden|property|verify|perf|soak|tidy|asan|ubsan|tsan|coverage|format) STEPS+=("$arg") ;;
-    *) echo "usage: scripts/check.sh [--format] [lint|werror|golden|property|verify|perf|soak|tidy|asan|ubsan|tsan|coverage|format ...]" >&2
+    lint|werror|golden|native|property|verify|perf|soak|repeat|tidy|asan|ubsan|tsan|coverage|format) STEPS+=("$arg") ;;
+    *) echo "usage: scripts/check.sh [--format] [lint|werror|golden|native|property|verify|perf|soak|repeat|tidy|asan|ubsan|tsan|coverage|format ...]" >&2
        exit 2 ;;
   esac
 done
@@ -57,7 +63,8 @@ if [ "${#STEPS[@]}" -eq 0 ]; then
   # coverage is opt-in (it rebuilds the whole tree instrumented); golden and
   # property re-run their labels explicitly even though the werror suite
   # includes them, so a regression names the gate it broke.
-  STEPS=(lint werror golden property verify perf soak tidy asan ubsan tsan)
+  STEPS=(lint werror golden native property verify perf soak repeat tidy asan
+         ubsan tsan)
   [ "$WANT_FORMAT" -eq 1 ] && STEPS+=(format)
 fi
 
@@ -98,6 +105,11 @@ step_golden() {
   ctest --test-dir build-werror --output-on-failure -j "$JOBS" -L bench-args
 }
 
+step_native() {
+  note "native: goldens in a -march=native build (ctest -L golden)"
+  build_and_test native -L golden
+}
+
 step_property() {
   note "property: seeded invariant suites (ctest -L property)"
   ensure_werror_build
@@ -121,6 +133,13 @@ step_soak() {
   ensure_werror_build
   HIGHRPM_SOAK=1 ctest --test-dir build-werror --output-on-failure \
     -j "$JOBS" -L soak
+}
+
+step_repeat() {
+  note "repeat: concurrency-labelled tests, 20 runs each (ctest -L 'sanitize|soak')"
+  ensure_werror_build
+  ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
+    -L 'sanitize|soak' --repeat until-fail:20
 }
 
 step_coverage() {

@@ -11,6 +11,15 @@
 
 namespace highrpm::core {
 
+std::span<const double> RowHold::pass(std::span<const double> row) {
+  if (math::all_finite(row)) {
+    held_.assign(row.begin(), row.end());
+    return row;
+  }
+  if (held_.size() != row.size()) held_.assign(row.size(), 0.0);
+  return held_;
+}
+
 DynamicTrr::DynamicTrr(DynamicTrrConfig cfg)
     : cfg_(cfg), model_(cfg.rnn), cheap_(cfg.cheap_tree) {
   if (cfg_.miss_interval < 2) {
@@ -139,9 +148,7 @@ void DynamicTrr::reset_stream() {
   win_count_ = 0;
   prev_estimate_ = 0.0;
   have_prev_ = false;
-  last_good_pmcs_.clear();
-  if (n_features_ > 0) last_good_pmcs_.reserve(n_features_);
-  have_last_good_ = false;
+  hold_.reset();
   last_im_value_ = 0.0;
   have_last_im_ = false;
   im_repeats_ = 0;
@@ -211,34 +218,24 @@ DynamicTrr::StepPrep DynamicTrr::step_prepare(std::span<const double> pmcs,
   }
   const std::size_t f = pmcs.size();
   const auto feat = win_rows_.row(prep.slot);
-  std::copy(pmcs.begin(), pmcs.end(), feat.begin());
   win_est_[prep.slot] = 0.0;
 
   // --- input validation / graceful degradation (no-op on clean input) ---
-  bool clean_row = true;
-  if (cfg_.validate_inputs) {
-    if (!math::all_finite(feat.subspan(0, f))) {
-      // Degraded tick: hold the last good row — node power rarely moves in
-      // one tick — and keep this window out of fine-tuning.
-      clean_row = false;
-      substituted_rows_.add();
-      substituted_total.add();
-      if (have_last_good_) {
-        std::copy(last_good_pmcs_.begin(), last_good_pmcs_.end(),
-                  feat.begin());
-      } else {
-        std::fill(feat.begin(), feat.begin() + f, 0.0);
-      }
-    } else {
-      last_good_pmcs_.assign(feat.begin(), feat.begin() + f);
-      have_last_good_ = true;
-    }
-    if (prep.have_reading && !plausible_reading(prep.reading_value)) {
-      // Spike / garbage reading: keep predicting instead of superseding.
-      rejected_readings_.add();
-      rejected_total.add();
-      prep.have_reading = false;
-    }
+  // Degraded tick: hold the last good row — node power rarely moves in one
+  // tick — and keep this window out of fine-tuning.
+  const auto row = hold_.pass(pmcs);
+  std::copy(row.begin(), row.end(), feat.begin());
+  const bool clean_row = row.data() == pmcs.data();
+  if (!clean_row) {
+    substituted_rows_.add();
+    substituted_total.add();
+  }
+  if (cfg_.validate_inputs && prep.have_reading &&
+      !plausible_reading(prep.reading_value)) {
+    // Spike / garbage reading: keep predicting instead of superseding.
+    rejected_readings_.add();
+    rejected_total.add();
+    prep.have_reading = false;
   }
   win_clean_[prep.slot] = clean_row ? 1 : 0;
 
@@ -274,8 +271,8 @@ double DynamicTrr::predict_prepared() {
   // after warm-up this path performs zero heap allocations.
   steps_scratch_.resize(win_count_, win_rows_.cols());
   pack_window_into(steps_scratch_, 0);
-  model_.predict_into(steps_scratch_, preds_scratch_, ws_);
-  return preds_scratch_.back();
+  model_.predict_batch_into(steps_scratch_, 1, preds_scratch_, ws_);
+  return preds_scratch_(0, win_count_ - 1);
 }
 
 double DynamicTrr::predict_prepared_cheap(const StepPrep& prep) const {

@@ -1,11 +1,8 @@
 #include "highrpm/core/fleet.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "highrpm/math/float_eq.hpp"
-#include "highrpm/math/stats.hpp"
 #include "highrpm/obs/obs.hpp"
 #include "highrpm/runtime/parallel_for.hpp"
 
@@ -21,14 +18,6 @@ FleetStepper::FleetStepper(const HighRpm& golden, std::size_t nodes,
     throw std::invalid_argument("FleetStepper: golden instance untrained");
   }
   if (golden.config().tenants > 0 && golden.attribution_trained()) {
-    // Self-calibration mutates the attribution head online; the fleet
-    // shares one const head across all shards, so a self-calibrating
-    // golden cannot be batched — run it through the serial facade.
-    if (golden.config().self_cal.enabled) {
-      throw std::invalid_argument(
-          "FleetStepper: self-calibrating attribution requires the serial "
-          "facade (the fleet shares a const attribution head)");
-    }
     tenants_ = golden.config().tenants;
   }
   if (nodes == 0) {
@@ -48,19 +37,9 @@ FleetStepper::FleetStepper(const HighRpm& golden, std::size_t nodes,
   // after the first accepted reading — each lane must predict with its own
   // model.
   shared_rnn_ = !golden.config().dynamic_trr.online_finetune;
-  lanes_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    Lane lane;
-    lane.trr = golden.dynamic_trr();
-    lane.trr.reset_stream();
-    if (const auto* gc = golden.controller()) {
-      // Fresh controller per lane (golden's config already has its window
-      // pinned to the miss interval) and the matching standing routing.
-      lane.ctl.emplace(gc->config());
-      lane.trr.set_use_cheap(lane.ctl->decision().use_cheap);
-    }
-    lanes_.push_back(std::move(lane));
-  }
+  // Every lane starts as the golden's lane on a fresh stream.
+  lanes_.assign(nodes, golden.lane());
+  for (Lane& lane : lanes_) lane.reset_stream();
   const std::size_t n_shards = (nodes + cfg_.shard_lanes - 1) / cfg_.shard_lanes;
   shards_.resize(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
@@ -75,17 +54,13 @@ FleetStepper::FleetStepper(const HighRpm& golden, std::size_t nodes,
 }
 
 void FleetStepper::reset_streams() {
-  for (auto& lane : lanes_) {
-    lane.trr.reset_stream();
-    lane.last_good.clear();
-    lane.have_last_good = false;
-    lane.last_good_tenant.clear();
-    lane.have_last_good_tenant = false;
-    if (lane.ctl) {
-      lane.ctl->reset();
-      lane.trr.set_use_cheap(lane.ctl->decision().use_cheap);
-    }
-  }
+  for (Lane& lane : lanes_) lane.reset_stream();
+}
+
+LaneModels FleetStepper::models() const {
+  const bool own_heads = lanes_.front().self_cal.has_value();
+  return {srr_, own_heads ? nullptr : &tenant_srr_,
+          shared_rnn_ ? &shared_model_ : nullptr};
 }
 
 void FleetStepper::step_tick(const math::Matrix& pmcs,
@@ -131,8 +106,6 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
                                std::size_t tenant_row0) {
   static obs::Counter& lane_ticks =
       obs::Registry::instance().counter("core.fleet.lane_ticks");
-  static obs::Counter& held_total =
-      obs::Registry::instance().counter("core.fleet.held_rows");
   const std::size_t lanes = lane_ids.size();
   if (lanes == 0) return;
   if (pmcs.rows() < pmc_row0 + lanes || readings.size() != lanes ||
@@ -152,139 +125,14 @@ void FleetStepper::step_cohort(std::span<const std::size_t> lane_ids,
     }
   }
   lane_ticks.add(lanes);
-  const std::size_t f = pmcs.cols();
-  Cohort& ss = scratch;
-  ss.rows.resize(lanes, f);
-  ss.preps.resize(lanes);
-  ss.raw.resize(lanes);
-  ss.node_w.resize(lanes);
-  ss.comp.resize(lanes);
-
-  // Phase 1 per lane: held-row substitution (the HighRpm::on_tick
-  // degradation mirror) + TRR window prepare.
-  for (std::size_t li = 0; li < lanes; ++li) {
-    Lane& lane = lanes_[lane_ids[li]];
-    const auto dst = ss.rows.row(li);
-    const auto src = pmcs.row(pmc_row0 + li);
-    std::copy(src.begin(), src.end(), dst.begin());
-    if (!math::all_finite(dst)) {
-      held_total.add();
-      if (lane.have_last_good && lane.last_good.size() == f) {
-        std::copy(lane.last_good.begin(), lane.last_good.end(), dst.begin());
-      } else {
-        std::fill(dst.begin(), dst.end(), 0.0);
-      }
-    } else {
-      lane.last_good.assign(dst.begin(), dst.end());
-      lane.have_last_good = true;
-    }
-    std::optional<double> reading = readings[li];
-    if (reading && !std::isfinite(*reading)) reading.reset();
-    ss.preps[li] = lane.trr.step_prepare(dst, reading);
-  }
-
-  // Phase 2: predict. Shared-weights fleets with lockstep windows batch
-  // the whole cohort through one GEMM per RNN layer; otherwise each lane
-  // predicts with its own model (weights may have diverged, or fills may
-  // differ after a mid-stream reset).
-  const std::size_t window = ss.preps[0].rows;
-  bool lockstep = true;
-  for (std::size_t li = 1; li < lanes; ++li) {
-    if (ss.preps[li].rows != window) {
-      lockstep = false;
-      break;
-    }
-  }
-  // Adaptive fleets route sparse-mode lanes through the cheap DT path;
-  // any such lane keeps the cohort off the batched GEMM this tick (the
-  // remaining dense lanes still produce bit-identical estimates through
-  // the per-lane path — the batch is a throughput choice, never a result
-  // choice).
-  bool any_cheap = false;
-  for (std::size_t li = 0; li < lanes; ++li) {
-    if (lanes_[lane_ids[li]].trr.use_cheap()) {
-      any_cheap = true;
-      break;
-    }
-  }
-  if (shared_rnn_ && lockstep && window > 0 && !any_cheap) {
-    ss.win_batch.resize(lanes * window, f + 1);
-    for (std::size_t li = 0; li < lanes; ++li) {
-      lanes_[lane_ids[li]].trr.pack_window_into(ss.win_batch, li * window);
-    }
-    shared_model_.predict_batch_into(ss.win_batch, lanes, ss.rnn_out,
-                                     ss.rnn_ws);
-    for (std::size_t li = 0; li < lanes; ++li) {
-      ss.raw[li] = ss.rnn_out(li, window - 1);
-    }
-  } else {
-    for (std::size_t li = 0; li < lanes; ++li) {
-      DynamicTrr& trr = lanes_[lane_ids[li]].trr;
-      ss.raw[li] = trr.use_cheap() ? trr.predict_prepared_cheap(ss.preps[li])
-                                   : trr.predict_prepared();
-    }
-  }
-
-  // Phase 3 per lane: commit (clamps, stuck-sensor logic, measurement
-  // supersede + fine-tune) and the measured flag.
-  for (std::size_t li = 0; li < lanes; ++li) {
-    Lane& lane = lanes_[lane_ids[li]];
-    const double node_w = lane.trr.step_commit(ss.preps[li], ss.raw[li]);
-    ss.node_w[li] = node_w;
-    out[li].node_w = node_w;
-    const std::optional<double>& r = readings[li];
-    out[li].measured = r.has_value() && std::isfinite(*r) &&
-                       math::exact_eq(node_w, *r);
-    // Adaptive sampling: same observation the serial facade makes — the
-    // committed estimate plus the substituted row, measured ticks excluded
-    // (a reading superseding the prediction would score the model-vs-meter
-    // bias as volatility) — so decision streams are identical at every
-    // fleet shape.
-    if (lane.ctl && !out[li].measured) {
-      if (const auto d = lane.ctl->observe(node_w, ss.rows.row(li))) {
-        lane.trr.set_use_cheap(d->use_cheap);
-      }
-    }
-  }
-
-  // Phase 4: one SRR GEMM per MLP layer for the whole cohort.
-  srr_.predict_batch_into(ss.rows, ss.node_w, ss.comp, ss.srr);
-  for (std::size_t li = 0; li < lanes; ++li) {
-    out[li].cpu_w = ss.comp[li].cpu_w;
-    out[li].mem_w = ss.comp[li].mem_w;
-    out[li].tenants = 0;
-  }
-  if (!tenant_pmcs) return;
-
-  // Phase 5: K-way attribution — held-tenant-row substitution per lane
-  // (mirroring the serial facade's 3-arg on_tick), then one attribution
-  // GEMM per MLP layer for the whole cohort on the committed node powers.
-  const std::size_t tf = tenant_pmcs->cols();
-  ss.trows.resize(lanes, tf);
-  for (std::size_t li = 0; li < lanes; ++li) {
-    Lane& lane = lanes_[lane_ids[li]];
-    const auto dst = ss.trows.row(li);
-    const auto src = tenant_pmcs->row(tenant_row0 + li);
-    std::copy(src.begin(), src.end(), dst.begin());
-    if (!math::all_finite(dst)) {
-      if (lane.have_last_good_tenant && lane.last_good_tenant.size() == tf) {
-        std::copy(lane.last_good_tenant.begin(), lane.last_good_tenant.end(),
-                  dst.begin());
-      } else {
-        std::fill(dst.begin(), dst.end(), 0.0);
-      }
-    } else {
-      lane.last_good_tenant.assign(dst.begin(), dst.end());
-      lane.have_last_good_tenant = true;
-    }
-  }
-  tenant_srr_.predict_batch_multi_into(ss.trows, ss.node_w, ss.tenant_out,
-                                       ss.tsrr);
-  for (std::size_t li = 0; li < lanes; ++li) {
-    out[li].tenants = tenants_;
-    const auto row = ss.tenant_out.row(li);
-    std::copy(row.begin(), row.end(), out[li].tenant_w.begin());
-  }
+  // A cohort's rows are consecutive rows of the caller's matrices.
+  const auto rows = [lanes](const math::Matrix& m, std::size_t row0) {
+    return m.flat().subspan(row0 * m.cols(), lanes * m.cols());
+  };
+  step_lanes(models(), lanes_, lane_ids, rows(pmcs, pmc_row0), readings, out,
+             scratch,
+             tenant_pmcs ? rows(*tenant_pmcs, tenant_row0)
+                         : std::span<const double>{});
 }
 
 }  // namespace highrpm::core

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "highrpm/math/float_eq.hpp"
 #include "highrpm/math/stats.hpp"
 #include "highrpm/obs/obs.hpp"
 
@@ -12,14 +11,6 @@ namespace highrpm::core {
 
 HighRpm::HighRpm(HighRpmConfig cfg)
     : cfg_(std::move(cfg)),
-      dynamic_trr_([&] {
-        DynamicTrrConfig d = cfg_.dynamic_trr;
-        d.miss_interval = cfg_.miss_interval;
-        // Sparse mode routes predicts through the DT ResModel, so an
-        // adaptive facade must always train it.
-        if (cfg_.adaptive) d.train_cheap_model = true;
-        return d;
-      }()),
       srr_(cfg_.srr),
       tenant_srr_([&] {
         SrrConfig t = cfg_.tenant_srr;
@@ -29,24 +20,24 @@ HighRpm::HighRpm(HighRpmConfig cfg)
         return t;
       }()),
       sampler_(cfg_.sampler) {
+  DynamicTrrConfig d = cfg_.dynamic_trr;
+  d.miss_interval = cfg_.miss_interval;
+  // Sparse mode routes predicts through the DT ResModel, so an adaptive
+  // facade must always train it.
+  if (cfg_.adaptive) d.train_cheap_model = true;
+  lane_.trr = DynamicTrr(d);
   if (cfg_.tenants > kMaxTenants) {
     throw std::invalid_argument("HighRpm: tenants exceeds kMaxTenants");
   }
   if (cfg_.tenants > 0 && cfg_.self_cal.enabled) {
-    const auto& sc = cfg_.self_cal;
-    if (sc.buffer_ticks == 0 || sc.min_buffered > sc.buffer_ticks ||
-        !(sc.ewma_alpha > 0.0) || sc.ewma_alpha > 1.0) {
-      throw std::invalid_argument("HighRpm: bad self_cal config");
-    }
-    selfcal_rows_ =
-        math::Matrix(sc.buffer_ticks, cfg_.tenants * sim::kNumPmcEvents);
-    selfcal_node_w_.resize(sc.buffer_ticks);
+    lane_.self_cal.emplace(cfg_.self_cal, cfg_.p_other_w, tenant_srr_,
+                           cfg_.tenants * sim::kNumPmcEvents);
   }
   if (cfg_.adaptive) {
     adapt::ControllerConfig acfg = cfg_.adapt;
     // Decisions must land on ring-window boundaries.
     acfg.window = cfg_.miss_interval;
-    controller_.emplace(acfg);
+    lane_.ctl.emplace(acfg);
   }
 }
 
@@ -63,7 +54,7 @@ void HighRpm::initial_learning(
     pmcs.push_back(run.dataset.features());
     node_labels.push_back(run.dataset.target("P_NODE"));
   }
-  dynamic_trr_.train(pmcs, node_labels);
+  lane_.trr.train(pmcs, node_labels);
 
   // SRR: pooled (and latent-scale-augmented) samples across runs, with the
   // TRR restoration of each run as the bi-directional node-power input —
@@ -125,7 +116,7 @@ void HighRpm::active_learning(const measure::CollectedRun& run) {
           sub, labels, cfg_.miss_interval, labels[0]);
       // Keep the fine-tune cheap: cap the window count.
       if (windows.size() > 64) windows.resize(64);
-      dynamic_trr_.fine_tune(windows, cfg_.active_finetune_epochs);
+      lane_.trr.fine_tune(windows, cfg_.active_finetune_epochs);
     }
   }
 
@@ -162,19 +153,11 @@ LogRestoration HighRpm::restore_log(const measure::CollectedRun& run) const {
   const auto& features = run.dataset.features();
   out.cpu_w.resize(features.rows());
   out.mem_w.resize(features.rows());
-  // Degraded rows get the last finite row (zeros before the first one), the
-  // offline mirror of on_tick's hold — SRR would otherwise split NaN.
-  std::vector<double> last_good;
-  std::vector<double> held(features.cols(), 0.0);
+  // Degraded rows are held like on_tick's — SRR would otherwise split NaN.
+  RowHold hold;
   for (std::size_t r = 0; r < features.rows(); ++r) {
-    std::span<const double> row = features.row(r);
-    if (!math::all_finite(row)) {
-      row = last_good.empty() ? std::span<const double>(held)
-                              : std::span<const double>(last_good);
-    } else {
-      last_good.assign(row.begin(), row.end());
-    }
-    const auto est = srr_.predict_one(row, out.node_w[r]);
+    const auto est =
+        srr_.predict_one(hold.pass(features.row(r)), out.node_w[r]);
     out.cpu_w[r] = est.cpu_w;
     out.mem_w[r] = est.mem_w;
   }
@@ -197,96 +180,19 @@ void HighRpm::fit_attribution(std::span<const measure::CollectedRun> runs) {
   }
   StaticTrrConfig scfg = cfg_.static_trr;
   scfg.miss_interval = cfg_.miss_interval;
-  const auto set =
-      build_attribution_training_set(runs, tenant_srr_.config(), scfg);
-  tenant_srr_.fit_multi(set.x, set.p_node, set.targets);
+  Srr& head = attribution_srr();
+  const auto set = build_attribution_training_set(runs, head.config(), scfg);
+  head.fit_multi(set.x, set.p_node, set.targets);
   // A fresh head means fresh drift state: old buffered ticks and the old
   // EWMA describe the pre-fit model.
-  selfcal_count_ = 0;
-  selfcal_head_ = 0;
-  drift_ewma_pct_ = 0.0;
-  drift_seeded_ = false;
-  selfcal_cooldown_ = 0;
+  if (lane_.self_cal) lane_.self_cal->reset_stream();
 }
 
-void HighRpm::reset_stream() {
-  dynamic_trr_.reset_stream();
-  last_good_row_.clear();
-  last_good_tenant_row_.clear();
-  // Self-calibration observations belong to the stream, not the model: a new
-  // stream (or a cloned per-node instance) starts with an empty buffer and
-  // an unseeded drift EWMA. The fine-tuned weights themselves persist.
-  selfcal_count_ = 0;
-  selfcal_head_ = 0;
-  drift_ewma_pct_ = 0.0;
-  drift_seeded_ = false;
-  selfcal_cooldown_ = 0;
-  if (controller_) {
-    controller_->reset();
-    // Re-apply the standing decision (a fresh controller starts Sparse).
-    // Before initial_learning the cheap model does not exist yet; routing
-    // is then applied by the first post-training reset.
-    if (dynamic_trr_.cheap_fitted()) {
-      dynamic_trr_.set_use_cheap(controller_->decision().use_cheap);
-    }
-  }
-}
+void HighRpm::reset_stream() { lane_.reset_stream(); }
 
 PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
                                std::optional<double> im_reading) {
-  static obs::Histogram& tick_hist =
-      obs::Registry::instance().histogram("core.highrpm.on_tick_ns");
-  static obs::Counter& ticks_total =
-      obs::Registry::instance().counter("core.highrpm.ticks");
-  static obs::Counter& held_total =
-      obs::Registry::instance().counter("core.highrpm.held_rows");
-  const obs::Span span(tick_hist);
-  ticks_total.add();
-  if (!trained()) {
-    throw std::logic_error("HighRpm::on_tick: run initial_learning first");
-  }
-  // Degrade gracefully on corrupt inputs: hold the last good PMC row so TRR
-  // and SRR split the same substituted input (DynamicTrr would substitute
-  // internally anyway, but SRR has no window state of its own), and treat a
-  // non-finite IM reading as a missed one.
-  std::span<const double> row = pmcs;
-  std::vector<double> held;
-  if (!math::all_finite(pmcs)) {
-    held_rows_.add();
-    held_total.add();
-    if (last_good_row_.size() == pmcs.size()) {
-      held = last_good_row_;
-    } else {
-      held.assign(pmcs.size(), 0.0);
-    }
-    row = held;
-  } else {
-    last_good_row_.assign(pmcs.begin(), pmcs.end());
-  }
-  if (im_reading && !std::isfinite(*im_reading)) im_reading.reset();
-
-  PowerEstimate est;
-  est.node_w = dynamic_trr_.step(row, im_reading);
-  // DynamicTrr may reject an implausible reading; only report measured when
-  // the reading actually superseded the prediction.
-  est.measured =
-      im_reading.has_value() && math::exact_eq(est.node_w, *im_reading);
-  const auto comp = srr_.predict_one(row, est.node_w, srr_scratch_);
-  est.cpu_w = comp.cpu_w;
-  est.mem_w = comp.mem_w;
-  // Adaptive sampling: feed the controller the committed estimate and the
-  // substituted row (exactly what the fleet stepper feeds per lane, keeping
-  // serial-vs-batched decision streams identical). Measured ticks are NOT
-  // observed: they return the IM reading verbatim, so the model-vs-meter
-  // bias would register as a volatility jump on every reading tick and the
-  // score could never separate calm from volatile regimes. A returned
-  // decision is a mode change taking effect from the next tick.
-  if (controller_ && !est.measured) {
-    if (const auto d = controller_->observe(est.node_w, row)) {
-      dynamic_trr_.set_use_cheap(d->use_cheap);
-    }
-  }
-  return est;
+  return step(pmcs, im_reading, {});
 }
 
 PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
@@ -295,151 +201,36 @@ PowerEstimate HighRpm::on_tick(std::span<const double> pmcs,
   if (cfg_.tenants == 0) {
     throw std::logic_error("HighRpm::on_tick(tenants): cfg.tenants is 0");
   }
-  if (!tenant_srr_.fitted()) {
+  if (!attribution_trained()) {
     throw std::logic_error("HighRpm::on_tick(tenants): fit_attribution first");
   }
   if (tenant_pmcs.size() != cfg_.tenants * sim::kNumPmcEvents) {
     throw std::invalid_argument(
         "HighRpm::on_tick(tenants): tenant row size != tenants * events");
   }
-  // Hold a corrupt tenant row exactly like the node row: the attribution
-  // head sees the last good per-cgroup readings (zeros before any).
-  std::span<const double> trow = tenant_pmcs;
-  std::vector<double> theld;
-  if (!math::all_finite(tenant_pmcs)) {
-    if (last_good_tenant_row_.size() == tenant_pmcs.size()) {
-      theld = last_good_tenant_row_;
-    } else {
-      theld.assign(tenant_pmcs.size(), 0.0);
-    }
-    trow = theld;
-  } else {
-    last_good_tenant_row_.assign(tenant_pmcs.begin(), tenant_pmcs.end());
-  }
+  return step(pmcs, im_reading, tenant_pmcs);
+}
 
-  // The node pipeline is byte-identical to the 2-arg overload — attribution
-  // rides on top of it, it never perturbs node/component estimates or
-  // adaptive decisions.
-  PowerEstimate est = on_tick(pmcs, im_reading);
-  est.tenants = cfg_.tenants;
-  double raw_total = 0.0;
-  tenant_srr_.predict_one_into(
-      trow, est.node_w, std::span<double>(est.tenant_w.data(), cfg_.tenants),
-      tenant_scratch_, &raw_total);
-
-  if (cfg_.self_cal.enabled) {
-    if (selfcal_cooldown_ > 0) --selfcal_cooldown_;
-    if (est.measured) {
-      // Buffer the measured tick (ring, oldest overwritten).
-      const auto slot = selfcal_rows_.row(selfcal_head_);
-      std::copy(trow.begin(), trow.end(), slot.begin());
-      selfcal_node_w_[selfcal_head_] = est.node_w;
-      selfcal_head_ = (selfcal_head_ + 1) % selfcal_rows_.rows();
-      selfcal_count_ = std::min(selfcal_count_ + 1, selfcal_rows_.rows());
-      // Drift: the head's clamped pre-projection sum vs the trusted IM
-      // budget. The projection would hide exactly this error, which is why
-      // the signal is taken before it.
-      const double budget = std::max(1.0, est.node_w - cfg_.p_other_w);
-      const double drift_pct = 100.0 * std::abs(raw_total - budget) / budget;
-      drift_ewma_pct_ = drift_seeded_ ? (1.0 - cfg_.self_cal.ewma_alpha) *
-                                                drift_ewma_pct_ +
-                                            cfg_.self_cal.ewma_alpha * drift_pct
-                                      : drift_pct;
-      drift_seeded_ = true;
-      if (drift_ewma_pct_ > cfg_.self_cal.drift_threshold_pct &&
-          selfcal_count_ >= cfg_.self_cal.min_buffered &&
-          selfcal_cooldown_ == 0) {
-        recalibrate_attribution();
-        selfcal_triggers_.add();
-        static obs::Counter& triggers_total =
-            obs::Registry::instance().counter("core.highrpm.selfcal_triggers");
-        triggers_total.add();
-        selfcal_cooldown_ = cfg_.self_cal.cooldown_ticks;
-        // Re-seed the EWMA: the old level measured the pre-fix model.
-        drift_ewma_pct_ = 0.0;
-        drift_seeded_ = false;
-      }
-    }
+PowerEstimate HighRpm::step(std::span<const double> pmcs,
+                            std::optional<double> im_reading,
+                            std::span<const double> tenant_pmcs) {
+  static obs::Histogram& tick_hist =
+      obs::Registry::instance().histogram("core.highrpm.on_tick_ns");
+  static obs::Counter& ticks_total =
+      obs::Registry::instance().counter("core.highrpm.ticks");
+  const obs::Span span(tick_hist);
+  ticks_total.add();
+  if (!trained()) {
+    throw std::logic_error("HighRpm::on_tick: run initial_learning first");
   }
+  static constexpr std::size_t kLane = 0;
+  PowerEstimate est;
+  step_lanes({srr_, lane_.self_cal ? nullptr : &tenant_srr_, nullptr},
+             std::span<Lane>(&lane_, 1),
+             std::span<const std::size_t>(&kLane, 1), pmcs,
+             std::span<const std::optional<double>>(&im_reading, 1),
+             std::span<PowerEstimate>(&est, 1), cohort_, tenant_pmcs);
   return est;
-}
-
-void HighRpm::recalibrate_attribution() {
-  const obs::Span span("core.highrpm.selfcal_finetune_ns");
-  const std::size_t n = selfcal_count_;
-  const std::size_t cap = selfcal_rows_.rows();
-  const std::size_t start = (selfcal_head_ + cap - n) % cap;
-  math::Matrix x(n, selfcal_rows_.cols());
-  std::vector<double> p_node(n);
-  math::Matrix targets(n, cfg_.tenants);
-  std::vector<double> split(cfg_.tenants);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t s = (start + i) % cap;
-    const auto src = selfcal_rows_.row(s);
-    std::copy(src.begin(), src.end(), x.row(i).begin());
-    p_node[i] = selfcal_node_w_[s];
-    // Pseudo-labels: the head's own split rescaled so it sums to the
-    // measured budget — the same consistency calibration active_learning
-    // applies to the component head. The reading is trusted; the ratio is
-    // the model's.
-    tenant_srr_.predict_one_into(src, p_node[i], split, tenant_scratch_);
-    const double budget = std::max(1.0, p_node[i] - cfg_.p_other_w);
-    double total = 0.0;
-    for (const double v : split) total += v;
-    total = std::max(1e-6, total);
-    for (std::size_t k = 0; k < cfg_.tenants; ++k) {
-      targets(i, k) = split[k] * budget / total;
-    }
-  }
-  tenant_srr_.fine_tune_multi(x, p_node, targets, cfg_.self_cal.epochs);
-}
-
-MonitorService::MonitorService(HighRpm golden) : golden_(std::move(golden)) {
-  if (!golden_.trained()) {
-    throw std::invalid_argument("MonitorService: golden instance untrained");
-  }
-}
-
-void MonitorService::register_node(const std::string& node_id) {
-  if (has_node(node_id)) {
-    throw std::invalid_argument("MonitorService: duplicate node '" + node_id +
-                                "'");
-  }
-  HighRpm instance = golden_;
-  instance.reset_stream();
-  nodes_.emplace_back(node_id, std::move(instance));
-}
-
-bool MonitorService::has_node(const std::string& node_id) const {
-  for (const auto& [id, _] : nodes_) {
-    if (id == node_id) return true;
-  }
-  return false;
-}
-
-HighRpm& MonitorService::node_mut(const std::string& node_id) {
-  for (auto& [id, inst] : nodes_) {
-    if (id == node_id) return inst;
-  }
-  throw std::out_of_range("MonitorService: unknown node '" + node_id + "'");
-}
-
-const HighRpm& MonitorService::node(const std::string& node_id) const {
-  for (const auto& [id, inst] : nodes_) {
-    if (id == node_id) return inst;
-  }
-  throw std::out_of_range("MonitorService: unknown node '" + node_id + "'");
-}
-
-PowerEstimate MonitorService::on_tick(const std::string& node_id,
-                                      std::span<const double> pmcs,
-                                      std::optional<double> im_reading) {
-  return node_mut(node_id).on_tick(pmcs, im_reading);
-}
-
-void MonitorService::active_learning(const std::string& node_id,
-                                     const measure::CollectedRun& run) {
-  node_mut(node_id).active_learning(run);
 }
 
 }  // namespace highrpm::core

@@ -72,78 +72,18 @@ void SequenceRegressor::initialize(std::size_t in_dim, math::Rng& rng) {
   adam_t_ = 0;
 }
 
-void SequenceRegressor::prepare(Workspace& ws) const {
-  const std::size_t H = cfg_.units;
-  const std::size_t g = gate_count();
-  ws.layers.resize(cfg_.layers);
-  for (auto& s : ws.layers) {
-    s.z.resize(g);
-    s.gates.resize(g);
-    s.rh.resize(H);
-  }
-  ws.h.resize(cfg_.layers, H);
-  ws.c.resize(cfg_.layers, H);
-  std::fill(ws.h.flat().begin(), ws.h.flat().end(), 0.0);
-  std::fill(ws.c.flat().begin(), ws.c.flat().end(), 0.0);
-  ws.x.resize(in_dim_);
-}
-
-void SequenceRegressor::cell_step_into(const CellParams& p,
-                                       std::span<const double> x,
-                                       std::span<double> h_inout,
-                                       std::span<double> c_inout,
-                                       Workspace::StepScratch& scratch) const {
-  const std::size_t H = cfg_.units;
-  const std::size_t g = gate_count();
-  auto& z = scratch.z;
-  auto& gates = scratch.gates;
-  if (cfg_.cell == CellType::kLstm) {
-    // All pre-activations read h_{t-1}; h is not written until below.
-    for (std::size_t j = 0; j < g; ++j) {
-      z[j] =
-          p.b[j] + math::dot(p.w.row(j), x) + math::dot(p.u.row(j), h_inout);
-    }
-    for (std::size_t j = 0; j < H; ++j) gates[j] = sigmoid(z[j]);            // i
-    for (std::size_t j = H; j < 2 * H; ++j) gates[j] = sigmoid(z[j]);        // f
-    for (std::size_t j = 2 * H; j < 3 * H; ++j) gates[j] = std::tanh(z[j]);  // g
-    for (std::size_t j = 3 * H; j < 4 * H; ++j) gates[j] = sigmoid(z[j]);    // o
-    for (std::size_t j = 0; j < H; ++j) {
-      c_inout[j] = gates[H + j] * c_inout[j] + gates[j] * gates[2 * H + j];
-      h_inout[j] = gates[3 * H + j] * std::tanh(c_inout[j]);
-    }
-    return;
-  }
-  // GRU: z (update), r (reset), n (candidate).
-  for (std::size_t j = 0; j < 2 * H; ++j) {
-    z[j] = p.b[j] + math::dot(p.w.row(j), x) + math::dot(p.u.row(j), h_inout);
-  }
-  for (std::size_t j = 0; j < H; ++j) gates[j] = sigmoid(z[j]);      // z
-  for (std::size_t j = H; j < 2 * H; ++j) gates[j] = sigmoid(z[j]);  // r
-  auto& rh = scratch.rh;
-  for (std::size_t j = 0; j < H; ++j) rh[j] = gates[H + j] * h_inout[j];
-  for (std::size_t j = 2 * H; j < 3 * H; ++j) {
-    gates[j] = std::tanh(p.b[j] + math::dot(p.w.row(j), x) +
-                         math::dot(p.u.row(j), rh));
-  }
-  // h_prev[j] is read in the same expression that overwrites h[j].
-  for (std::size_t j = 0; j < H; ++j) {
-    h_inout[j] = (1.0 - gates[j]) * gates[2 * H + j] + gates[j] * h_inout[j];
-  }
-}
-
 void SequenceRegressor::cell_step_preproj_into(
     const CellParams& p, std::span<const double> zx, std::span<const double> zu,
     std::span<double> h_inout, std::span<double> c_inout,
-    Workspace::StepScratch& scratch) const {
+    StepScratch& scratch) const {
   const std::size_t H = cfg_.units;
   const std::size_t g = gate_count();
   const bool have_zu = !zu.empty();
   auto& z = scratch.z;
   auto& gates = scratch.gates;
   if (cfg_.cell == CellType::kLstm) {
-    // zx already holds `b + w·x`; adding the recurrent term second keeps
-    // cell_step_into's `(b + w·x) + u·h` association. zu(i) = h·u.row(i)
-    // is the commuted dot — bit-equal to u.row(i)·h.
+    // zx already holds `b + w·x`; the recurrent term is added second.
+    // zu(i) = h·u.row(i) is the commuted dot — bit-equal to u.row(i)·h.
     for (std::size_t j = 0; j < g; ++j) {
       z[j] = zx[j] + (have_zu ? zu[j] : math::dot(p.u.row(j), h_inout));
     }
@@ -179,37 +119,47 @@ std::vector<double> SequenceRegressor::forward(
     const math::Matrix& steps_scaled,
     std::vector<std::vector<StepCache>>* caches) const {
   const std::size_t T = steps_scaled.rows();
-  Workspace ws;
-  prepare(ws);
+  const std::size_t H = cfg_.units;
+  const std::size_t g = gate_count();
+  math::Matrix h(cfg_.layers, H, 0.0);
+  math::Matrix c(cfg_.layers, H, 0.0);
+  std::vector<double> zx(g);
+  StepScratch scratch{std::vector<double>(g), std::vector<double>(g),
+                      std::vector<double>(H)};
   if (caches) {
     caches->assign(cfg_.layers, std::vector<StepCache>(T));
   }
   std::vector<double> out(T);
   const bool lstm = cfg_.cell == CellType::kLstm;
   for (std::size_t t = 0; t < T; ++t) {
-    ws.x.assign(steps_scaled.row(t).begin(), steps_scaled.row(t).end());
-    std::span<const double> x = ws.x;
+    std::span<const double> x = steps_scaled.row(t);
     for (std::size_t l = 0; l < cfg_.layers; ++l) {
-      const auto h = ws.h.row(l);
-      const auto c = ws.c.row(l);
+      const CellParams& p = cells_[l];
+      const auto hl = h.row(l);
+      const auto cl = c.row(l);
       if (caches) {
         // Capture the step inputs before the in-place update overwrites
         // h/c; outputs are copied out after.
         StepCache& cache = (*caches)[l][t];
         cache.x.assign(x.begin(), x.end());
-        cache.h_prev.assign(h.begin(), h.end());
-        if (lstm) cache.c_prev.assign(c.begin(), c.end());
+        cache.h_prev.assign(hl.begin(), hl.end());
+        if (lstm) cache.c_prev.assign(cl.begin(), cl.end());
       }
-      cell_step_into(cells_[l], x, h, c, ws.layers[l]);
+      // The input projection row matmul_nt_bias_into computes for a whole
+      // window at predict time, with the same association.
+      for (std::size_t j = 0; j < g; ++j) {
+        zx[j] = p.b[j] + math::dot(p.w.row(j), x);
+      }
+      cell_step_preproj_into(p, zx, {}, hl, cl, scratch);
       if (caches) {
         StepCache& cache = (*caches)[l][t];
-        cache.gates = ws.layers[l].gates;
-        if (lstm) cache.c.assign(c.begin(), c.end());
-        cache.h.assign(h.begin(), h.end());
+        cache.gates = scratch.gates;
+        if (lstm) cache.c.assign(cl.begin(), cl.end());
+        cache.h.assign(hl.begin(), hl.end());
       }
-      x = h;
+      x = hl;
     }
-    out[t] = head_.b + math::dot(head_.w, ws.h.row(cfg_.layers - 1));
+    out[t] = head_.b + math::dot(head_.w, h.row(cfg_.layers - 1));
   }
   return out;
 }
@@ -453,47 +403,11 @@ void SequenceRegressor::adam_step(double lr) {
 }
 
 std::vector<double> SequenceRegressor::predict(const math::Matrix& steps) const {
-  std::vector<double> out;
-  Workspace ws;
-  predict_into(steps, out, ws);
-  return out;
-}
-
-void SequenceRegressor::predict_into(const math::Matrix& steps,
-                                     std::vector<double>& out,
-                                     Workspace& ws) const {
-  if (!fitted_) throw std::logic_error("SequenceRegressor: not fitted");
-  if (steps.cols() != in_dim_) {
-    throw std::invalid_argument("SequenceRegressor::predict: width mismatch");
-  }
-  const std::size_t T = steps.rows();
-  prepare(ws);
-  ws.xs.resize(T, in_dim_);
-  for (std::size_t t = 0; t < T; ++t) {
-    x_scaler_.transform_row_into(steps.row(t), ws.xs.row(t));
-  }
-  // Layer-outer, time-inner: each layer's input projection over the whole
-  // window is one bias-folded GEMM; only the recurrent term runs
-  // sequentially in t. Per-cell arithmetic keeps cell_step_into's operand
-  // order, so outputs match the time-outer formulation bit for bit.
-  const math::Matrix* xin = &ws.xs;
-  for (std::size_t l = 0; l < cfg_.layers; ++l) {
-    const CellParams& p = cells_[l];
-    math::matmul_nt_bias_into(*xin, p.w, p.b, ws.zx);
-    math::Matrix& hout = (l % 2 == 0) ? ws.hseq_a : ws.hseq_b;
-    hout.resize(T, cfg_.units);
-    const auto h = ws.h.row(l);
-    const auto c = ws.c.row(l);
-    for (std::size_t t = 0; t < T; ++t) {
-      cell_step_preproj_into(p, ws.zx.row(t), {}, h, c, ws.layers[l]);
-      std::copy(h.begin(), h.end(), hout.row(t).begin());
-    }
-    xin = &hout;
-  }
-  out.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    out[t] = y_scaler_.inverse_one(head_.b + math::dot(head_.w, xin->row(t)));
-  }
+  math::Matrix out;
+  BatchWorkspace ws;
+  predict_batch_into(steps, 1, out, ws);
+  const auto row = out.row(0);
+  return {row.begin(), row.end()};
 }
 
 void SequenceRegressor::predict_batch_into(const math::Matrix& windows,
@@ -517,9 +431,9 @@ void SequenceRegressor::predict_batch_into(const math::Matrix& windows,
   for (std::size_t r = 0; r < windows.rows(); ++r) {
     x_scaler_.transform_row_into(windows.row(r), ws.xs.row(r));
   }
-  // Same layer-outer structure as predict_into, with the lane dimension
-  // folded in: one input-projection GEMM per layer over all lanes*T rows,
-  // one recurrent GEMM per (layer, step) over all lanes.
+  // Layer-outer, time-inner: one bias-folded input-projection GEMM per
+  // layer over all lanes*T rows; only the recurrent term runs sequentially
+  // in t, as one GEMM per (layer, step) over all lanes.
   const math::Matrix* xin = &ws.xs;
   for (std::size_t l = 0; l < cfg_.layers; ++l) {
     const CellParams& p = cells_[l];

@@ -111,8 +111,6 @@ void Daemon::stop() {
 }
 
 OfferResult Daemon::offer(std::size_t node, const measure::StreamTick& tick) {
-  static obs::Counter& offered_c =
-      obs::Registry::instance().counter("serve.offered");
   static obs::Counter& accepted_c =
       obs::Registry::instance().counter("serve.accepted");
   static obs::Counter& shed_c =
@@ -122,8 +120,6 @@ OfferResult Daemon::offer(std::size_t node, const measure::StreamTick& tick) {
   static obs::Counter& backpressure_c =
       obs::Registry::instance().counter("serve.backpressure");
   NodeState& ns = *nodes_.at(node);
-  ns.offered.add();
-  offered_c.add();
   const Enqueued e{tick, ns.pending_drop};
   if (ns.ring.try_push(e)) {
     ns.pending_drop = 0;
@@ -252,7 +248,7 @@ bool Daemon::consume_cycle(ConsumerState& cs) {
     // Safe without extra synchronization: this consumer is the only thread
     // that steps (and therefore mutates) this lane's controller.
     std::uint64_t adapt_word = 0;
-    if (const auto* ctl = fleet_.lane_controller(cs.ids[li])) {
+    if (const auto& ctl = fleet_.lane(cs.ids[li]).ctl) {
       adapt_word = pack_adapt_state(
           static_cast<std::uint64_t>(ctl->mode()), ctl->mode_changes(),
           ctl->sparse_ticks());
@@ -326,16 +322,14 @@ DaemonSnapshot Daemon::snapshot() const {
     for (std::size_t k = 0; k < st.tenants; ++k) {
       st.tenant_w[k] = tenant_watts_of(v.tenant_lo, v.tenant_hi, k);
     }
-    // Outcome counters before offered: offer() bumps offered first and the
-    // outcome second, so reading the outcomes first (and the only-growing
-    // offered last) keeps accepted + shed + dropped_readings <= offered in
-    // every live snapshot.
     st.accepted = ns->accepted.value();
     st.shed = ns->shed.value();
     st.dropped_readings = ns->dropped_readings.value();
     st.backpressure = ns->backpressure.value();
     st.held = ns->held.value();
-    st.offered = ns->offered.value();
+    // Every offer ends in exactly one outcome, so offered is their sum: the
+    // accounting identity holds in every live snapshot by construction.
+    st.offered = st.accepted + st.shed + st.dropped_readings;
     // Totals from the captured rows, never from a second racy read — the
     // aggregate always equals the sum of what this snapshot reports.
     snap.total_ticks += st.ticks;

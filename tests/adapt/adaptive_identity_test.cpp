@@ -196,8 +196,8 @@ class AdaptiveIdentityTest
 
     // The controllers themselves must agree, not just the estimates.
     for (std::size_t i = 0; i < nodes; ++i) {
-      const adapt::Controller* lane = fleet.lane_controller(i);
-      ASSERT_NE(lane, nullptr);
+      const auto& lane = fleet.lane(i).ctl;
+      ASSERT_TRUE(lane.has_value());
       const CtlState got = ctl_state(*lane);
       const CtlState& want = reference.controllers[i];
       EXPECT_EQ(got.mode, want.mode) << "node " << i;
@@ -267,15 +267,15 @@ TEST_P(AdaptiveIdentityTest, ResetStreamsReplaysAdaptiveRunIdentically) {
   const auto first = play();
   std::vector<CtlState> first_ctl;
   for (std::size_t i = 0; i < nodes; ++i) {
-    first_ctl.push_back(ctl_state(*fleet.lane_controller(i)));
+    first_ctl.push_back(ctl_state(*fleet.lane(i).ctl));
   }
   ASSERT_GT(first_ctl[0].mode_changes, 0u);
 
   fleet.reset_streams();
   for (std::size_t i = 0; i < nodes; ++i) {
     // reset_streams must rewind the controller too, not just the ring.
-    const adapt::Controller* ctl = fleet.lane_controller(i);
-    ASSERT_NE(ctl, nullptr);
+    const auto& ctl = fleet.lane(i).ctl;
+    ASSERT_TRUE(ctl.has_value());
     EXPECT_EQ(ctl->ticks_observed(), 0u);
     EXPECT_EQ(ctl->mode(), adapt::Mode::kSparse);
     EXPECT_EQ(ctl->tokens(), 0u);
@@ -289,7 +289,7 @@ TEST_P(AdaptiveIdentityTest, ResetStreamsReplaysAdaptiveRunIdentically) {
       ASSERT_EQ(first[i][t].mem_w, second[i][t].mem_w);
       ASSERT_EQ(first[i][t].measured, second[i][t].measured);
     }
-    const CtlState replay = ctl_state(*fleet.lane_controller(i));
+    const CtlState replay = ctl_state(*fleet.lane(i).ctl);
     EXPECT_EQ(replay.mode, first_ctl[i].mode);
     EXPECT_EQ(replay.mode_changes, first_ctl[i].mode_changes);
     EXPECT_EQ(replay.dense_ticks, first_ctl[i].dense_ticks);
@@ -309,8 +309,8 @@ TEST(AdaptiveIdentity, NonAdaptiveFleetHasNoLaneControllers) {
   golden.initial_learning(runs);
   EXPECT_EQ(golden.controller(), nullptr);
   FleetStepper fleet(golden, 2);
-  EXPECT_EQ(fleet.lane_controller(0), nullptr);
-  EXPECT_EQ(fleet.lane_controller(1), nullptr);
+  EXPECT_FALSE(fleet.lane(0).ctl.has_value());
+  EXPECT_FALSE(fleet.lane(1).ctl.has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -304,7 +304,7 @@ TEST_F(FacadeDegradationTest, TwentyPercentDropoutWithNanPmcRows) {
     EXPECT_GE(est.cpu_w, 0.0);
     EXPECT_GE(est.mem_w, 0.0);
   }
-  EXPECT_GT(h.held_rows(), 0u);
+  EXPECT_GT(h.dynamic_trr().substituted_rows(), 0u);
 }
 
 TEST_F(FacadeDegradationTest, MeasuredFlagIsHonestUnderRejection) {

@@ -1,4 +1,4 @@
-// Regression test for the diagnostic-counter data race: held_rows(),
+// Regression test for the diagnostic-counter data race:
 // rejected_readings(), substituted_rows() and friends used to be plain
 // size_t fields, so a monitor thread polling them while the stream thread
 // stepped was a TSan-visible race. They are obs::Counter atomics now; this
@@ -87,7 +87,7 @@ TEST(CounterRace, PollingHeldRowsWhileOnTickRuns) {
   std::thread poller([&] {
     std::size_t last = 0;
     while (!done.load(std::memory_order_acquire)) {
-      const std::size_t held = framework.held_rows();
+      const std::size_t held = framework.dynamic_trr().substituted_rows();
       EXPECT_GE(held, last);
       last = held;
     }
@@ -104,7 +104,7 @@ TEST(CounterRace, PollingHeldRowsWhileOnTickRuns) {
   done.store(true, std::memory_order_release);
   poller.join();
 
-  EXPECT_GT(framework.held_rows(), 0u);
+  EXPECT_GT(framework.dynamic_trr().substituted_rows(), 0u);
 }
 
 }  // namespace

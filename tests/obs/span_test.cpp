@@ -5,11 +5,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "highrpm/obs/registry.hpp"
 #include "highrpm/obs/span.hpp"
-#include "highrpm/runtime/parallel_for.hpp"
+#include "highrpm/runtime/thread_pool.hpp"
 
 namespace highrpm::obs {
 namespace {
@@ -75,26 +77,65 @@ TEST_F(SpanTest, NameLookupFormRecordsToo) {
       Registry::instance().histogram("test.span.by_name").count(), 1u);
 }
 
-TEST_F(SpanTest, PoolWorkersKeepTheirOwnSpanStacks) {
-  // A span is open on the caller thread while parallel_for tasks open their
-  // own. Fresh pool workers must start at depth 0 (their stack, not the
-  // caller's); tasks executed by the participating caller thread nest under
-  // its open span and see depth 1. Either way a task never observes the
-  // depth another thread's spans produced.
+// Span-stack contract of the pool: ThreadPool::run opens its job span
+// (runtime.pool.job_ns) on the calling thread and keeps it open while the
+// caller works on the job alongside the workers, so a task the caller runs
+// nests under that job span — its caller-side depth is the caller's own
+// spans plus one. A pool worker starts every task on its own empty stack.
+// Either way a task never observes another thread's spans.
+
+/// Run `tasks` tasks on a 4-thread pool under one open caller span and
+/// count the tasks whose entry depth breaks the contract; `on_caller` and
+/// `on_worker` are called on entry to each task on either kind of thread.
+template <typename OnCaller, typename OnWorker>
+std::size_t bad_task_depths(std::size_t tasks, OnCaller on_caller,
+                            OnWorker on_worker) {
   Histogram& h = Registry::instance().histogram("test.span.pool");
-  std::atomic<std::size_t> bad_depths{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<std::size_t> bad{0};
+  runtime::set_thread_count(4);
   {
     const Span outer(h);
-    runtime::parallel_for(64, [&](std::size_t) {
+    runtime::global_pool().run(tasks, [&](std::size_t) {
+      const bool on_caller_thread = std::this_thread::get_id() == caller;
+      if (on_caller_thread) {
+        on_caller();
+      } else {
+        on_worker();
+      }
       const std::size_t entry_depth = Span::depth();
-      if (entry_depth != 0 && entry_depth != 1) bad_depths.fetch_add(1);
+      // Caller: the outer span, then the pool's job span.
+      if (entry_depth != (on_caller_thread ? 2u : 0u)) bad.fetch_add(1);
       const Span task_span(h);
-      if (Span::depth() != entry_depth + 1) bad_depths.fetch_add(1);
+      if (Span::depth() != entry_depth + 1) bad.fetch_add(1);
     });
-    EXPECT_EQ(Span::depth(), 1u);  // caller's own span still open
+    if (Span::depth() != 1) bad.fetch_add(1);  // caller's span still open
   }
-  EXPECT_EQ(bad_depths.load(), 0u);
-  EXPECT_EQ(Span::depth(), 0u);
+  runtime::set_thread_count(0);
+  if (Span::depth() != 0) bad.fetch_add(1);
+  return bad.load();
+}
+
+TEST_F(SpanTest, PoolWorkersKeepTheirOwnSpanStacks) {
+  EXPECT_EQ(bad_task_depths(64, [] {}, [] {}), 0u);
+}
+
+TEST_F(SpanTest, CallerRunTasksNestUnderTheJobSpan) {
+  // Deterministic: every worker task waits until the caller has run one, so
+  // the caller is sure to run a task (with the 3 workers blocked, the
+  // remaining tasks fall to it) and its depth is checked on every run.
+  std::latch caller_ran(1);
+  std::atomic<bool> released{false};
+  std::atomic<std::size_t> caller_tasks{0};
+  const std::size_t bad = bad_task_depths(
+      8,
+      [&] {
+        caller_tasks.fetch_add(1);
+        if (!released.exchange(true)) caller_ran.count_down();
+      },
+      [&] { caller_ran.wait(); });
+  EXPECT_EQ(bad, 0u);
+  EXPECT_GE(caller_tasks.load(), 1u);
 }
 
 #endif  // HIGHRPM_OBS_ENABLED

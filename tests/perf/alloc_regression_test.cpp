@@ -198,8 +198,8 @@ TEST(AllocRegression, FleetSteadyStateTickIsAllocationFree) {
 
 TEST(AllocRegression, TenantAttributionOnTickIsAllocationFree) {
   // The K-way streaming tick inherits the facade's steady-state contract:
-  // attribution predict uses caller-owned scratch, the hold path reuses
-  // last_good_tenant_row_'s capacity, and self-calibration's measured-tick
+  // attribution predict uses the facade's cohort scratch, the tenant hold
+  // reuses its held row's capacity, and self-calibration's measured-tick
   // buffering writes into the ring preallocated at construction. Only an
   // actual drift TRIGGER (fine-tune) may allocate — pinned out here with an
   // unreachable threshold.
@@ -251,10 +251,15 @@ TEST(AllocRegression, TenantAttributionOnTickIsAllocationFree) {
   EXPECT_EQ(model.self_cal_triggers(), 0u);
 }
 
-TEST(AllocRegression, TenantFleetStepTickIsAllocationFree) {
-  // K-way attribution in the batched path: one extra GEMM per layer per
-  // shard through Cohort::trows/tenant_out/tsrr — all warm after the first
-  // tick, so the steady state stays allocation-free.
+/// K-way attribution in the batched path, with a shared attribution head
+/// (one extra GEMM per layer per shard through Cohort::trows/tenant_out/
+/// tsrr) or, under self_cal, each lane's own head with its measured ticks
+/// buffered into the ring preallocated when the golden was built. All warm
+/// after the first ticks, so the steady state stays allocation-free. Only a
+/// self-cal trigger (fine-tune) may allocate — pinned out with an
+/// unreachable threshold; self-cal runs feed readings so the buffering path
+/// is metered.
+void expect_tenant_fleet_tick_allocation_free(bool self_cal) {
   runtime::set_thread_count(1);
   measure::Collector collector;
   const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
@@ -267,6 +272,8 @@ TEST(AllocRegression, TenantFleetStepTickIsAllocationFree) {
   cfg.srr.epochs = 10;
   cfg.tenants = 2;
   cfg.tenant_srr.epochs = 10;
+  cfg.self_cal.enabled = self_cal;
+  cfg.self_cal.drift_threshold_pct = 1e9;  // buffer/score, never fine-tune
   HighRpm golden(cfg);
   golden.initial_learning(training);
   golden.fit_attribution(training);
@@ -280,11 +287,13 @@ TEST(AllocRegression, TenantFleetStepTickIsAllocationFree) {
   const auto stream =
       collector.collect_tenants(sim::PlatformConfig::arm(), mix, 80, 8);
   const auto& features = stream.dataset.features();
+  const auto& labels = stream.dataset.target("P_NODE");
+  const std::size_t mi = golden.config().miss_interval;
   math::Matrix pmcs(nodes, features.cols());
   math::Matrix trows(nodes, stream.tenant_pmcs.cols());
   std::vector<std::optional<double>> readings(nodes);
   std::vector<PowerEstimate> out(nodes);
-  const std::size_t warmup = 2 * golden.config().miss_interval + 1;
+  std::size_t measured = 0;
   const auto play_tick = [&](std::size_t t) {
     for (std::size_t i = 0; i < nodes; ++i) {
       const std::size_t r = (t + i) % features.rows();
@@ -292,27 +301,48 @@ TEST(AllocRegression, TenantFleetStepTickIsAllocationFree) {
                 pmcs.row(i).begin());
       std::copy(stream.tenant_pmcs.row(r).begin(),
                 stream.tenant_pmcs.row(r).end(), trows.row(i).begin());
-      readings[i] = std::nullopt;
+      readings[i] = self_cal && t % mi == 0 ? std::optional<double>(labels[r])
+                                            : std::nullopt;
     }
     fleet.step_tick(pmcs, readings, out, {}, &trows);
+    for (std::size_t i = 0; i < nodes; ++i) measured += out[i].measured;
   };
+  const std::size_t warmup = 2 * mi + 1;
   for (std::size_t t = 0; t < warmup; ++t) play_tick(t);
 
   const auto before = at::count();
   std::size_t metered = 0;
+  measured = 0;
   for (std::size_t t = warmup; t < 60; ++t) {
     const at::Armed armed;
     play_tick(t);
     ++metered;
   }
   ASSERT_GT(metered, 0u);
+  if (self_cal) {
+    ASSERT_GT(measured, 0u) << "no measured tick metered: the self-cal "
+                               "buffering path was never exercised";
+  }
   for (std::size_t i = 0; i < nodes; ++i) {
     ASSERT_EQ(out[i].tenants, 2u);
     ASSERT_TRUE(std::isfinite(out[i].tenant_w[0]));
+    ASSERT_EQ(fleet.lane(i).self_cal.has_value(), self_cal);
+    if (self_cal) {
+      EXPECT_EQ(fleet.lane(i).self_cal->triggers(), 0u);
+    }
   }
   EXPECT_EQ(at::count() - before, 0u)
-      << "tenant FleetStepper::step_tick allocated on a steady-state tick";
+      << "tenant FleetStepper::step_tick allocated on a steady-state tick"
+      << (self_cal ? " (self-calibrating lanes)" : "");
   runtime::set_thread_count(0);
+}
+
+TEST(AllocRegression, TenantFleetStepTickIsAllocationFree) {
+  expect_tenant_fleet_tick_allocation_free(/*self_cal=*/false);
+}
+
+TEST(AllocRegression, SelfCalFleetStepTickIsAllocationFree) {
+  expect_tenant_fleet_tick_allocation_free(/*self_cal=*/true);
 }
 
 TEST(AllocRegression, AdaptiveControllerObserveIsAllocationFree) {
@@ -454,8 +484,8 @@ TEST(AllocRegression, AdaptiveFleetSteadyStateTickIsAllocationFree) {
   ASSERT_GT(metered, 0u);
   for (std::size_t i = 0; i < nodes; ++i) {
     ASSERT_TRUE(std::isfinite(out[i].node_w));
-    const adapt::Controller* ctl = fleet.lane_controller(i);
-    ASSERT_NE(ctl, nullptr);
+    const auto& ctl = fleet.lane(i).ctl;
+    ASSERT_TRUE(ctl.has_value());
     EXPECT_GT(ctl->mode_changes(), 0u) << "node " << i;
   }
   EXPECT_EQ(at::count() - before, 0u)

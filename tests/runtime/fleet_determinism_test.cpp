@@ -385,6 +385,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 constexpr std::size_t kTenants = 2;
 
+/// With self_cal, buffers and cooldown are short enough that a drifted
+/// stream of a couple hundred ticks triggers recalibration.
 HighRpm train_tenant_golden(bool self_cal) {
   measure::Collector collector;
   const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
@@ -396,7 +398,13 @@ HighRpm train_tenant_golden(bool self_cal) {
   HighRpmConfig cfg = fleet_config(/*online_finetune=*/false);
   cfg.tenants = kTenants;
   cfg.tenant_srr.epochs = 30;
-  cfg.self_cal.enabled = self_cal;
+  if (self_cal) {
+    cfg.self_cal = {.enabled = true,
+                    .drift_threshold_pct = 8.0,
+                    .buffer_ticks = 24,
+                    .min_buffered = 8,
+                    .cooldown_ticks = 40};
+  }
   HighRpm golden(cfg);
   golden.initial_learning(runs);
   golden.fit_attribution(runs);
@@ -431,6 +439,58 @@ std::vector<double> tenant_row_input(const measure::CollectedRun& run,
   return row;
 }
 
+/// Step serial facade clones of `golden` (at 1 thread) and `fleet` (at
+/// `threads`) over the same tenant streams, asserting bit-identical node
+/// and tenant estimates at every tick. `triggers[i]` receives node i's
+/// facade self-calibration trigger count.
+void expect_tenant_fleet_matches_facade(
+    const HighRpm& golden, FleetStepper& fleet,
+    const std::vector<measure::CollectedRun>& runs, std::size_t ticks,
+    std::size_t threads, std::vector<std::size_t>& triggers) {
+  const std::size_t nodes = runs.size();
+  runtime::set_thread_count(1);
+  std::vector<std::vector<PowerEstimate>> reference(nodes);
+  triggers.assign(nodes, 0);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    HighRpm node = golden;
+    node.reset_stream();
+    for (std::size_t t = 0; t < ticks; ++t) {
+      const TickInput in = tick_input(runs[i], i, t);
+      const auto trow = tenant_row_input(runs[i], i, t);
+      reference[i].push_back(node.on_tick(in.pmcs, trow, in.reading));
+    }
+    triggers[i] = node.self_cal_triggers();
+  }
+
+  runtime::set_thread_count(threads);
+  ASSERT_EQ(fleet.tenants(), kTenants);
+  const std::size_t f = runs[0].dataset.features().cols();
+  math::Matrix pmcs(nodes, f);
+  math::Matrix trows(nodes, kTenants * sim::kNumPmcEvents);
+  std::vector<std::optional<double>> readings(nodes);
+  std::vector<PowerEstimate> out(nodes);
+  for (std::size_t t = 0; t < ticks; ++t) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const TickInput in = tick_input(runs[i], i, t);
+      std::copy(in.pmcs.begin(), in.pmcs.end(), pmcs.row(i).begin());
+      const auto trow = tenant_row_input(runs[i], i, t);
+      std::copy(trow.begin(), trow.end(), trows.row(i).begin());
+      readings[i] = in.reading;
+    }
+    fleet.step_tick(pmcs, readings, out, {}, &trows);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      ASSERT_EQ(out[i].node_w, reference[i][t].node_w)
+          << "node " << i << " tick " << t;
+      ASSERT_EQ(out[i].tenants, kTenants) << "node " << i << " tick " << t;
+      for (std::size_t k = 0; k < kTenants; ++k) {
+        ASSERT_EQ(out[i].tenant_w[k], reference[i][t].tenant_w[k])
+            << "node " << i << " tick " << t << " tenant " << k << " at "
+            << threads << " threads";
+      }
+    }
+  }
+}
+
 class FleetAttributionTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
  protected:
@@ -450,53 +510,18 @@ HighRpm* FleetAttributionTest::golden_ = nullptr;
 TEST_P(FleetAttributionTest, TenantEstimatesMatchSerialBitForBit) {
   const std::size_t nodes = 5;
   const auto runs = collect_tenant_streams(nodes);
-
-  runtime::set_thread_count(1);
-  std::vector<std::vector<PowerEstimate>> reference(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    HighRpm node = *golden_;
-    node.reset_stream();
-    for (std::size_t t = 0; t < kStreamTicks; ++t) {
-      const TickInput in = tick_input(runs[i], i, t);
-      const auto trow = tenant_row_input(runs[i], i, t);
-      reference[i].push_back(node.on_tick(in.pmcs, trow, in.reading));
-    }
-  }
-
-  runtime::set_thread_count(std::get<0>(GetParam()));
   FleetConfig cfg;
   cfg.shard_lanes = std::get<1>(GetParam());
   FleetStepper fleet(*golden_, nodes, cfg);
-  ASSERT_EQ(fleet.tenants(), kTenants);
-
-  const std::size_t f = runs[0].dataset.features().cols();
-  math::Matrix pmcs(nodes, f);
-  math::Matrix trows(nodes, kTenants * sim::kNumPmcEvents);
-  std::vector<std::optional<double>> readings(nodes);
-  std::vector<PowerEstimate> out(nodes);
-  for (std::size_t t = 0; t < kStreamTicks; ++t) {
-    for (std::size_t i = 0; i < nodes; ++i) {
-      const TickInput in = tick_input(runs[i], i, t);
-      std::copy(in.pmcs.begin(), in.pmcs.end(), pmcs.row(i).begin());
-      const auto trow = tenant_row_input(runs[i], i, t);
-      std::copy(trow.begin(), trow.end(), trows.row(i).begin());
-      readings[i] = in.reading;
-    }
-    fleet.step_tick(pmcs, readings, out, {}, &trows);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ASSERT_EQ(out[i].node_w, reference[i][t].node_w)
-          << "node " << i << " tick " << t;
-      ASSERT_EQ(out[i].tenants, kTenants) << "node " << i << " tick " << t;
-      for (std::size_t k = 0; k < kTenants; ++k) {
-        ASSERT_EQ(out[i].tenant_w[k], reference[i][t].tenant_w[k])
-            << "node " << i << " tick " << t << " tenant " << k << " at "
-            << std::get<0>(GetParam()) << " threads, shard_lanes "
-            << std::get<1>(GetParam());
-      }
-    }
-  }
+  std::vector<std::size_t> triggers;
+  expect_tenant_fleet_matches_facade(*golden_, fleet, runs, kStreamTicks,
+                                     std::get<0>(GetParam()), triggers);
+  if (HasFatalFailure()) return;
 
   // Without the tenant matrix the same fleet skips attribution cleanly.
+  math::Matrix pmcs(nodes, runs[0].dataset.features().cols());
+  std::vector<std::optional<double>> readings(nodes);
+  std::vector<PowerEstimate> out(nodes);
   fleet.reset_streams();
   fleet.step_tick(pmcs, readings, out);
   for (std::size_t i = 0; i < nodes; ++i) EXPECT_EQ(out[i].tenants, 0u);
@@ -511,12 +536,142 @@ INSTANTIATE_TEST_SUITE_P(
              "_lanes" + std::to_string(std::get<1>(param_info.param));
     });
 
-TEST(FleetAttribution, RejectsSelfCalibratingGolden) {
-  // The fleet shares ONE const attribution head across lanes; a
-  // self-calibrating head mutates under drift, so the ctor must refuse it
-  // rather than silently dropping per-lane recalibration.
-  const HighRpm golden = train_tenant_golden(/*self_cal=*/true);
-  EXPECT_THROW(FleetStepper(golden, 2), std::invalid_argument);
+// ---------------------------------------------------------------------------
+// Self-calibration runs inside the lane step, so a self-calibrating golden
+// batches like any other: each lane recalibrates its own attribution head,
+// and tenant estimates and trigger counts match the serial facade bit for
+// bit.
+
+constexpr std::size_t kSelfCalTicks = 200;
+
+/// Tenant streams on a platform whose per-op energy rose 1.25x after
+/// training: the readings stay genuine and mostly inside DynamicTRR's
+/// plausibility band, so the heads' drift EWMA crosses the threshold and
+/// recalibration fires.
+std::vector<measure::CollectedRun> collect_drifted_tenant_streams(
+    std::size_t nodes) {
+  sim::PlatformConfig hot = sim::PlatformConfig::arm();
+  hot.power.inst_energy_nj *= 1.25;
+  hot.power.mem_energy_nj *= 1.25;
+  hot.power.dyn_scale *= 1.25;
+  measure::Collector collector;
+  const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
+  std::vector<measure::CollectedRun> runs;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    runs.push_back(
+        collector.collect_tenants(hot, mix, kSelfCalTicks, kSeed + 4000 + i));
+  }
+  return runs;
+}
+
+class FleetSelfCalTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+ protected:
+  static void SetUpTestSuite() {
+    golden_ = new HighRpm(train_tenant_golden(/*self_cal=*/true));
+  }
+  static void TearDownTestSuite() {
+    delete golden_;
+    golden_ = nullptr;
+  }
+  void TearDown() override { runtime::set_thread_count(0); }
+  static HighRpm* golden_;
+};
+
+HighRpm* FleetSelfCalTest::golden_ = nullptr;
+
+TEST_P(FleetSelfCalTest, TenantEstimatesAndTriggersMatchFacade) {
+  const std::size_t nodes = 3;
+  const auto runs = collect_drifted_tenant_streams(nodes);
+  FleetConfig cfg;
+  cfg.shard_lanes = std::get<1>(GetParam());
+  FleetStepper fleet(*golden_, nodes, cfg);
+  std::vector<std::size_t> triggers;
+  expect_tenant_fleet_matches_facade(*golden_, fleet, runs, kSelfCalTicks,
+                                     std::get<0>(GetParam()), triggers);
+  if (HasFatalFailure()) return;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    ASSERT_TRUE(fleet.lane(i).self_cal.has_value());
+    EXPECT_EQ(fleet.lane(i).self_cal->triggers(), triggers[i])
+        << "node " << i;
+    total += triggers[i];
+  }
+  EXPECT_GE(total, 1u) << "no recalibration fired: the test would not "
+                          "cover a lane's own head";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsByShardLanes, FleetSelfCalTest,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 8),
+                       ::testing::Values<std::size_t>(2, 64)),
+    [](const auto& param_info) {
+      return "threads" + std::to_string(std::get<0>(param_info.param)) +
+             "_lanes" + std::to_string(std::get<1>(param_info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// A window holding a substituted (held) PMC row is never fine-tuned on, on
+// any streaming path: DynamicTrr holds the row itself, so the facade and
+// the fleet see the same rule a bare DynamicTrr applies.
+
+TEST(HeldWindows, NeverFineTunedOnFacadeOrFleet) {
+  const HighRpm golden = train_golden(/*online_finetune=*/true);
+  measure::Collector collector;
+  const auto run = collector.collect(sim::PlatformConfig::arm(),
+                                     workloads::hpcg(), 80, kSeed + 3000);
+  const auto& features = run.dataset.features();
+  const auto& labels = run.dataset.target("P_NODE");
+  // One NaN PMC cell in every miss_interval-long window.
+  const std::size_t mi = golden.config().miss_interval;
+  const auto row_at = [&](std::size_t t, bool faulty) {
+    const auto src = features.row(t);
+    std::vector<double> row(src.begin(), src.end());
+    if (faulty && t % mi == 3) {
+      row[0] = std::numeric_limits<double>::quiet_NaN();
+    }
+    return row;
+  };
+  const auto reading_at = [&](std::size_t t) {
+    return run.measured[t] ? std::optional<double>(labels[t]) : std::nullopt;
+  };
+  const std::size_t held = (run.num_ticks() + mi - 4) / mi;
+  const std::size_t finetunes0 = golden.dynamic_trr().finetune_count();
+  const std::size_t substituted0 = golden.dynamic_trr().substituted_rows();
+
+  // Control: the clean stream does fine-tune, so the rule is what stops it.
+  HighRpm clean = golden;
+  clean.reset_stream();
+  for (std::size_t t = 0; t < run.num_ticks(); ++t) {
+    clean.on_tick(row_at(t, false), reading_at(t));
+  }
+  ASSERT_GT(clean.dynamic_trr().finetune_count(), finetunes0);
+
+  DynamicTrr bare = golden.dynamic_trr();
+  bare.reset_stream();
+  HighRpm facade = golden;
+  facade.reset_stream();
+  FleetStepper fleet(golden, 2);
+  math::Matrix pmcs(2, features.cols());
+  std::vector<std::optional<double>> readings(2);
+  std::vector<PowerEstimate> out(2);
+  for (std::size_t t = 0; t < run.num_ticks(); ++t) {
+    const auto row = row_at(t, true);
+    bare.step(row, reading_at(t));
+    facade.on_tick(row, reading_at(t));
+    for (std::size_t i = 0; i < 2; ++i) {
+      std::copy(row.begin(), row.end(), pmcs.row(i).begin());
+      readings[i] = reading_at(t);
+    }
+    fleet.step_tick(pmcs, readings, out);
+  }
+  const auto expect_held = [&](const DynamicTrr& trr, const char* path) {
+    EXPECT_EQ(trr.finetune_count(), finetunes0) << path;
+    EXPECT_EQ(trr.substituted_rows(), substituted0 + held) << path;
+  };
+  expect_held(bare, "bare DynamicTrr");
+  expect_held(facade.dynamic_trr(), "facade");
+  for (std::size_t i = 0; i < 2; ++i) expect_held(fleet.lane(i).trr, "fleet");
 }
 
 TEST(FleetAttribution, StepTickValidatesTenantMatrixShape) {

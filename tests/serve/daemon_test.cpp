@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -120,26 +122,43 @@ TEST_F(ServeDaemonTest, DrainsEveryOfferedTickAndAccountsExactly) {
   EXPECT_NE(text.find("totals ticks="), std::string::npos);
 }
 
-TEST(ServeDaemonAttribution, TenantSplitsFlowEndToEnd) {
-  // A tenant-trained golden: the daemon stages per-cgroup rows from the
-  // stream ring, the fleet's attribution GEMM splits each lane, and the
-  // seqlock cells publish the split at deciwatt resolution.
+std::vector<sim::Workload> tenant_mix() {
+  return {workloads::fft(), workloads::stream()};
+}
+
+/// A golden with a 2-tenant attribution head; `self_cal` adds short
+/// self-calibration buffers so a drifted stream of 200 ticks triggers.
+core::HighRpm train_tenant_golden(bool self_cal) {
   measure::Collector collector;
-  const std::vector<sim::Workload> mix{workloads::fft(), workloads::stream()};
   std::vector<measure::CollectedRun> runs;
-  runs.push_back(collector.collect_tenants(sim::PlatformConfig::arm(), mix,
-                                           160, tu::kSeed + 70));
-  runs.push_back(collector.collect_tenants(sim::PlatformConfig::arm(), mix,
-                                           160, tu::kSeed + 71));
+  runs.push_back(collector.collect_tenants(sim::PlatformConfig::arm(),
+                                           tenant_mix(), 160, tu::kSeed + 70));
+  runs.push_back(collector.collect_tenants(sim::PlatformConfig::arm(),
+                                           tenant_mix(), 160, tu::kSeed + 71));
   core::HighRpmConfig gcfg;
   gcfg.dynamic_trr.rnn.epochs = 8;
   gcfg.dynamic_trr.online_finetune = false;
   gcfg.srr.epochs = 20;
   gcfg.tenants = 2;
   gcfg.tenant_srr.epochs = 30;
+  if (self_cal) {
+    gcfg.self_cal = {.enabled = true,
+                     .drift_threshold_pct = 15.0,
+                     .buffer_ticks = 24,
+                     .min_buffered = 8,
+                     .cooldown_ticks = 40};
+  }
   core::HighRpm golden(gcfg);
   golden.initial_learning(runs);
   golden.fit_attribution(runs);
+  return golden;
+}
+
+TEST(ServeDaemonAttribution, TenantSplitsFlowEndToEnd) {
+  // A tenant-trained golden: the daemon stages per-cgroup rows from the
+  // stream ring, the fleet's attribution GEMM splits each lane, and the
+  // seqlock cells publish the split at deciwatt resolution.
+  const core::HighRpm golden = train_tenant_golden(/*self_cal=*/false);
 
   const std::size_t nodes = 2;
   const std::uint64_t ticks = 40;
@@ -150,7 +169,7 @@ TEST(ServeDaemonAttribution, TenantSplitsFlowEndToEnd) {
   daemon.start();
   std::vector<measure::NodeTickStream> streams;
   for (std::size_t i = 0; i < nodes; ++i) {
-    streams.emplace_back(sim::PlatformConfig::arm(), mix,
+    streams.emplace_back(sim::PlatformConfig::arm(), tenant_mix(),
                          tu::kSeed + 3000 + i);
   }
   for (std::uint64_t t = 0; t < ticks; ++t) {
@@ -186,6 +205,68 @@ TEST(ServeDaemonAttribution, TenantSplitsFlowEndToEnd) {
   EXPECT_NE(text.find("tenants=2"), std::string::npos) << text;
   EXPECT_NE(text.find("t0_w="), std::string::npos) << text;
   EXPECT_NE(text.find("t1_w="), std::string::npos) << text;
+}
+
+TEST(ServeDaemonAttribution, SelfCalibrationMatchesFacade) {
+  // Self-calibration runs inside the lane step, so each daemon lane
+  // recalibrates its own attribution head exactly as a facade clone does.
+  // On a platform whose per-op energy rose 1.5x after training, triggers
+  // fire and the published tenant watts still equal the facade's at the
+  // cell's deciwatt resolution.
+  const core::HighRpm golden = train_tenant_golden(/*self_cal=*/true);
+  sim::PlatformConfig hot = sim::PlatformConfig::arm();
+  hot.power.inst_energy_nj *= 1.5;
+  hot.power.mem_energy_nj *= 1.5;
+  hot.power.dyn_scale *= 1.5;
+  const auto stream = [&](std::size_t node) {
+    return measure::NodeTickStream(hot, tenant_mix(), tu::kSeed + 3100 + node);
+  };
+  const std::size_t nodes = 4;
+  const std::uint64_t ticks = 200;
+  DaemonConfig cfg;
+  cfg.consumers = 2;
+  cfg.ring_capacity = 256;  // no sheds: the facade replays every tick
+  Daemon daemon(golden, nodes, tu::node_suites(nodes), cfg);
+  daemon.start();
+  std::vector<measure::NodeTickStream> streams;
+  for (std::size_t i = 0; i < nodes; ++i) streams.push_back(stream(i));
+  for (std::uint64_t t = 0; t < ticks; ++t) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      ASSERT_EQ(daemon.offer(i, streams[i].next()), OfferResult::kAccepted);
+    }
+  }
+  daemon.quiesce();
+  const DaemonSnapshot snap = daemon.snapshot();
+  daemon.stop();
+
+  const std::size_t tenant_cols = 2 * sim::kNumPmcEvents;
+  std::size_t triggers = 0;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    core::HighRpm facade = golden;
+    facade.reset_stream();
+    auto replay = stream(i);
+    core::PowerEstimate est;
+    for (std::uint64_t t = 0; t < ticks; ++t) {
+      const measure::StreamTick tick = replay.next();
+      est = facade.on_tick(
+          tick.pmcs,
+          std::span<const double>(tick.tenant_pmcs.data(), tenant_cols),
+          tick.has_reading ? std::optional<double>(tick.reading_w)
+                           : std::nullopt);
+    }
+    triggers += facade.self_cal_triggers();
+    const NodeStatus& n = snap.nodes.at(i);
+    EXPECT_EQ(n.ticks, ticks) << "node " << i;
+    EXPECT_EQ(n.node_w, est.node_w) << "node " << i;
+    ASSERT_EQ(n.tenants, 2u) << "node " << i;
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(n.tenant_w[k],
+                static_cast<double>(tenant_deciwatts(est.tenant_w[k])) / 10.0)
+          << "node " << i << " tenant " << k;
+    }
+  }
+  EXPECT_GE(triggers, 1u) << "no recalibration fired: the comparison would "
+                             "not cover a lane's own head";
 }
 
 TEST(ServeDaemonAttribution, RejectsHeadWiderThanStreamSlots) {

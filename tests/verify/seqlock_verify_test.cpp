@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "highrpm/math/float_eq.hpp"
 #include "highrpm/serve/snapshot.hpp"
 #include "highrpm/verify/verify.hpp"
 
@@ -38,9 +39,10 @@ Value gen_value(std::uint64_t g) {
 
 void check_coherent(const Value& v) {
   const std::uint64_t g = v.ticks;
-  hv::check(v.node_w == static_cast<double>(2 * g), "torn node_w");
-  hv::check(v.cpu_w == static_cast<double>(3 * g), "torn cpu_w");
-  hv::check(v.mem_w == static_cast<double>(5 * g), "torn mem_w");
+  using highrpm::math::exact_eq;
+  hv::check(exact_eq(v.node_w, static_cast<double>(2 * g)), "torn node_w");
+  hv::check(exact_eq(v.cpu_w, static_cast<double>(3 * g)), "torn cpu_w");
+  hv::check(exact_eq(v.mem_w, static_cast<double>(5 * g)), "torn mem_w");
   hv::check(v.measured == ((g % 2) == 1), "torn measured");
   hv::check(v.adapt == 7 * g, "torn adapt");
   hv::check(v.tenant_lo == 11 * g, "torn tenant_lo");
