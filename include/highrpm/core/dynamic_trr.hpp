@@ -74,6 +74,12 @@ class RowHold {
   /// row.
   void reset() noexcept { held_.clear(); }
 
+  /// pass() over every row of a fresh stream, as row indices, for a caller
+  /// that reads the rows themselves: entry r is r when row r is finite, the
+  /// last finite row before it otherwise, or kZeros before the first.
+  static constexpr std::size_t kZeros = SIZE_MAX;
+  static std::vector<std::size_t> sources(const math::Matrix& rows);
+
  private:
   std::vector<double> held_;
 };

@@ -81,7 +81,12 @@ class HighRpm {
   /// cpu + mem = node - P_Other (the bi-directional consistency constraint).
   void active_learning(const measure::CollectedRun& run);
 
-  /// Offline log analysis: StaticTRR node restoration + SRR breakdown.
+  /// Offline log analysis: StaticTRR node restoration + SRR breakdown. The
+  /// log must carry at least four usable IM readings to spline; fewer throw
+  /// std::invalid_argument, since a log has no dense power column to fall
+  /// back to. Non-finite PMC rows are held (RowHold). The residual-tree walk
+  /// and the SRR split run on the runtime pool, with the same bytes at every
+  /// thread count.
   LogRestoration restore_log(const measure::CollectedRun& run) const;
 
   /// Train the K-way attribution head from multi-tenant runs
@@ -157,8 +162,8 @@ class HighRpm {
   }
 
  private:
-  /// Fit a fresh StaticTRR on a run's sparse IM readings and restore it.
-  std::vector<double> static_restore(const measure::CollectedRun& run) const;
+  /// cfg.static_trr with the facade's miss_interval.
+  StaticTrrConfig static_config() const;
   /// Both on_tick overloads: step the one lane (empty tenant_pmcs skips
   /// attribution).
   PowerEstimate step(std::span<const double> pmcs,

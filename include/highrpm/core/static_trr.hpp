@@ -53,17 +53,43 @@ struct StaticTrrRestoration {
   std::vector<double> merged;    // Algorithm-1 output (the P_StaticTRR)
 };
 
+/// Scrubbed sparse labeled readings (see clean_labeled_readings).
+struct CleanedReadings {
+  std::vector<std::size_t> idx;
+  std::vector<double> power;
+};
+
+/// Input scrub shared by StaticTrr::fit and restore_node_power: drops
+/// non-finite power values and out-of-range tick indices, sorts by tick,
+/// and merges duplicate ticks by averaging their readings. Faulty sensors
+/// (readout-clock jitter, delayed BMC polls) routinely produce duplicate or
+/// non-monotonic timestamps, which would otherwise surface as a
+/// CubicSpline "x must be strictly increasing" error from deep inside fit.
+/// Already-clean input passes through unchanged.
+CleanedReadings clean_labeled_readings(std::span<const std::size_t> idx,
+                                       std::span<const double> power,
+                                       std::size_t num_ticks);
+
 class StaticTrr {
  public:
   explicit StaticTrr(StaticTrrConfig cfg = {});
 
   /// Fit from one run: per-tick PMC features and timestamps plus the sparse
   /// labeled readings (indices into the tick range and their power values).
+  /// Throws std::invalid_argument when fewer than four usable readings
+  /// remain after clean_labeled_readings and the configured bounds.
   void fit(const math::Matrix& pmcs, std::span<const double> times,
            std::span<const std::size_t> labeled_idx,
            std::span<const double> labeled_power);
+  /// fit() on readings clean_labeled_readings already returned for this
+  /// run's ticks, which are not cleaned again.
+  void fit(const math::Matrix& pmcs, std::span<const double> times,
+           CleanedReadings readings);
 
-  /// Restore the full-resolution node-power series for the fitted run.
+  /// Restore the full-resolution node-power series for the fitted run. The
+  /// per-tick spline and residual-tree walk run in slices on the runtime
+  /// pool (every tick depends on itself alone, so the bytes do not depend
+  /// on the thread count); the Algorithm-1 merge is serial.
   StaticTrrRestoration restore(const math::Matrix& pmcs,
                                std::span<const double> times) const;
 
@@ -81,10 +107,16 @@ class StaticTrr {
   double p_bottom_ = 0.0;
 };
 
-/// Restore a collected run's node-power series with StaticTRR fitted on the
-/// run's own IPMI readings — the P'_Node series that feeds SRR (paper Fig 3).
-/// Falls back to the dense P_NODE target when the run carries fewer than
-/// four IM readings (too short to spline).
+/// Restore a log's node-power series with StaticTRR fitted on the log's own
+/// IPMI readings — the P'_Node series that feeds SRR (paper Fig 3). A
+/// deployment log has no dense power column to fall back to, so fewer than
+/// four usable readings throw std::invalid_argument (from StaticTrr::fit).
+std::vector<double> restore_log_node_power(const measure::CollectedRun& log,
+                                           const StaticTrrConfig& cfg);
+
+/// restore_log_node_power for a training run, which carries the rig's dense
+/// P_NODE label by design: below four usable IM readings (too short to
+/// spline) it returns that label instead of throwing.
 std::vector<double> restore_node_power(const measure::CollectedRun& run,
                                        const StaticTrrConfig& cfg);
 
@@ -94,22 +126,5 @@ std::vector<double> static_trr_post_process(std::span<const double> splined,
                                             std::span<const double> residual,
                                             double p_upper, double p_bottom,
                                             const StaticTrrConfig& cfg);
-
-/// Scrubbed sparse labeled readings (see clean_labeled_readings).
-struct CleanedReadings {
-  std::vector<std::size_t> idx;
-  std::vector<double> power;
-};
-
-/// Input scrub shared by StaticTrr::fit and restore_node_power: drops
-/// non-finite power values and out-of-range tick indices, sorts by tick,
-/// and merges duplicate ticks by averaging their readings. Faulty sensors
-/// (readout-clock jitter, delayed BMC polls) routinely produce duplicate or
-/// non-monotonic timestamps, which would otherwise surface as a
-/// CubicSpline "x must be strictly increasing" error from deep inside fit.
-/// Already-clean input passes through unchanged.
-CleanedReadings clean_labeled_readings(std::span<const std::size_t> idx,
-                                       std::span<const double> power,
-                                       std::size_t num_ticks);
 
 }  // namespace highrpm::core

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace highrpm::math {
@@ -38,6 +39,9 @@ class Rng {
 
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
+  /// permutation(idx.size()) written into a caller-owned buffer: the same
+  /// draws and the same result, without allocating.
+  void permutation_into(std::span<std::size_t> idx);
   /// k indices sampled without replacement from [0, n).
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);

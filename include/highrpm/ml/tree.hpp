@@ -33,14 +33,6 @@ class DecisionTreeRegressor final : public Regressor {
   std::string name() const override { return "DT"; }
   bool fitted() const override { return !nodes_.empty(); }
 
-  std::size_t node_count() const noexcept { return nodes_.size(); }
-  std::size_t depth() const noexcept { return depth_; }
-
-  /// Fit on a row subset (ensembles reuse the parent matrix without copying).
-  void fit_subset(const math::Matrix& x, std::span<const double> y,
-                  std::span<const std::size_t> rows);
-
- private:
   struct Node {
     // Leaf iff feature == SIZE_MAX; then value holds the prediction.
     std::size_t feature = SIZE_MAX;
@@ -50,9 +42,24 @@ class DecisionTreeRegressor final : public Regressor {
     std::size_t right = 0;
   };
 
+  std::size_t node_count() const noexcept { return nodes_.size(); }
+  std::size_t depth() const noexcept { return depth_; }
+  /// The fitted nodes, root first, in depth-first (left before right) order.
+  std::span<const Node> nodes() const noexcept { return nodes_; }
+
+  /// Fit on a row subset (ensembles reuse the parent matrix without copying).
+  /// Rows may repeat, as a bootstrap draws them.
+  void fit_subset(const math::Matrix& x, std::span<const double> y,
+                  std::span<const std::size_t> rows);
+
+ private:
+  /// One fit's split-search state (tree.cpp): every feature's rows sorted
+  /// once at the root, then kept sorted per node by stable partitioning.
+  struct Presorted;
+
   std::size_t build(const math::Matrix& x, std::span<const double> y,
-                    std::vector<std::size_t>& rows, std::size_t begin,
-                    std::size_t end, std::size_t level, math::Rng& rng);
+                    Presorted& ps, std::size_t begin, std::size_t end,
+                    std::size_t level, math::Rng& rng);
 
   TreeConfig cfg_;
   std::vector<Node> nodes_;

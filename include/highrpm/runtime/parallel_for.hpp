@@ -13,6 +13,7 @@
 // RandomForest::fit) correct without deadlocks or oversubscription.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <type_traits>
@@ -42,6 +43,19 @@ void parallel_for(std::size_t n, Fn&& fn) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
   };
   pool.run(chunks, task);
+}
+
+/// Split [0, n) into one contiguous slice per pool thread (fewer when n is
+/// smaller) and invoke fn(begin, end) for each, so per-task set-up such as
+/// a scratch buffer is paid once per thread, not once per index. Slice
+/// bounds follow the pool size: under the contract above, what fn computes
+/// for an index must not depend on where its slice starts.
+template <typename Fn>
+void parallel_for_slices(std::size_t n, Fn&& fn) {
+  const std::size_t slices = std::min(n, global_pool().size());
+  parallel_for(slices, [&](std::size_t s) {
+    fn(s * n / slices, (s + 1) * n / slices);
+  });
 }
 
 /// Collect fn(i) for every i in [0, n) into a vector ordered by index —

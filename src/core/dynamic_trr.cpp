@@ -20,6 +20,16 @@ std::span<const double> RowHold::pass(std::span<const double> row) {
   return held_;
 }
 
+std::vector<std::size_t> RowHold::sources(const math::Matrix& rows) {
+  std::vector<std::size_t> source(rows.rows());
+  std::size_t held = kZeros;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    if (math::all_finite(rows.row(r))) held = r;
+    source[r] = held;
+  }
+  return source;
+}
+
 DynamicTrr::DynamicTrr(DynamicTrrConfig cfg)
     : cfg_(cfg), model_(cfg.rnn), cheap_(cfg.cheap_tree) {
   if (cfg_.miss_interval < 2) {

@@ -6,8 +6,15 @@
 
 #include "highrpm/math/stats.hpp"
 #include "highrpm/obs/obs.hpp"
+#include "highrpm/runtime/parallel_for.hpp"
 
 namespace highrpm::core {
+
+namespace {
+/// Rows per batched SRR predict in restore_log. Each slice's buffers are
+/// sized by it, not by the log, so restoring a long log adds little memory.
+constexpr std::size_t kRestoreRowBlock = 64;
+}  // namespace
 
 HighRpm::HighRpm(HighRpmConfig cfg)
     : cfg_(std::move(cfg)),
@@ -60,18 +67,15 @@ void HighRpm::initial_learning(
   // TRR restoration of each run as the bi-directional node-power input —
   // at monitoring time SRR only ever sees restored node power, so training
   // on it keeps the input distributions matched (paper Fig 3).
-  StaticTrrConfig scfg = cfg_.static_trr;
-  scfg.miss_interval = cfg_.miss_interval;
-  const auto set = build_srr_training_set(runs, cfg_.srr, scfg);
+  const auto set = build_srr_training_set(runs, cfg_.srr, static_config());
   srr_.fit(set.x, set.p_node, set.p_cpu, set.p_mem);
   reset_stream();
 }
 
-std::vector<double> HighRpm::static_restore(
-    const measure::CollectedRun& run) const {
+StaticTrrConfig HighRpm::static_config() const {
   StaticTrrConfig sc = cfg_.static_trr;
   sc.miss_interval = cfg_.miss_interval;
-  return restore_node_power(run, sc);
+  return sc;
 }
 
 void HighRpm::active_learning(const measure::CollectedRun& run) {
@@ -79,7 +83,7 @@ void HighRpm::active_learning(const measure::CollectedRun& run) {
   if (!trained()) {
     throw std::logic_error("HighRpm::active_learning: run initial_learning first");
   }
-  const auto restored = static_restore(run);
+  const auto restored = restore_node_power(run, static_config());
   const auto drawn = sampler_.draw(run.measured);
   const auto& features = run.dataset.features();
   // Reinforcement samples must be usable numbers: drop any tick whose
@@ -145,22 +149,46 @@ void HighRpm::active_learning(const measure::CollectedRun& run) {
 
 LogRestoration HighRpm::restore_log(const measure::CollectedRun& run) const {
   const obs::Span span("core.highrpm.restore_log_ns");
-  if (!srr_.fitted()) {
+  if (!trained()) {
     throw std::logic_error("HighRpm::restore_log: run initial_learning first");
   }
   LogRestoration out;
-  out.node_w = static_restore(run);
+  out.node_w = restore_log_node_power(run, static_config());
   const auto& features = run.dataset.features();
-  out.cpu_w.resize(features.rows());
-  out.mem_w.resize(features.rows());
+  const std::size_t n = features.rows();
+  out.cpu_w.resize(n);
+  out.mem_w.resize(n);
   // Degraded rows are held like on_tick's — SRR would otherwise split NaN.
-  RowHold hold;
-  for (std::size_t r = 0; r < features.rows(); ++r) {
-    const auto est =
-        srr_.predict_one(hold.pass(features.row(r)), out.node_w[r]);
-    out.cpu_w[r] = est.cpu_w;
-    out.mem_w[r] = est.mem_w;
-  }
+  // The hold runs first, serially; then every row's split depends on its
+  // own (held) row alone, so the pool predicts slices of the log in
+  // batched row blocks, each slice with its own block-sized buffers.
+  const std::vector<std::size_t> source = RowHold::sources(features);
+  runtime::parallel_for_slices(n, [&](std::size_t begin, std::size_t end) {
+    const std::size_t cap = std::min(kRestoreRowBlock, end - begin);
+    math::Matrix rows(cap, features.cols());
+    std::vector<ComponentEstimate> est(cap);
+    Srr::BatchScratch scratch;
+    for (std::size_t b = begin; b < end; b += cap) {
+      const std::size_t len = std::min(cap, end - b);
+      rows.resize(len, features.cols());
+      for (std::size_t i = 0; i < len; ++i) {
+        const auto dst = rows.row(i);
+        if (source[b + i] == RowHold::kZeros) {
+          std::fill(dst.begin(), dst.end(), 0.0);
+        } else {
+          const auto src = features.row(source[b + i]);
+          std::copy(src.begin(), src.end(), dst.begin());
+        }
+      }
+      const auto block = std::span(est).first(len);
+      srr_.predict_batch_into(rows, std::span(out.node_w).subspan(b, len),
+                              block, scratch);
+      for (std::size_t i = 0; i < len; ++i) {
+        out.cpu_w[b + i] = block[i].cpu_w;
+        out.mem_w[b + i] = block[i].mem_w;
+      }
+    }
+  });
   return out;
 }
 
@@ -178,10 +206,9 @@ void HighRpm::fit_attribution(std::span<const measure::CollectedRun> runs) {
           "HighRpm::fit_attribution: run tenant count != cfg.tenants");
     }
   }
-  StaticTrrConfig scfg = cfg_.static_trr;
-  scfg.miss_interval = cfg_.miss_interval;
   Srr& head = attribution_srr();
-  const auto set = build_attribution_training_set(runs, head.config(), scfg);
+  const auto set =
+      build_attribution_training_set(runs, head.config(), static_config());
   head.fit_multi(set.x, set.p_node, set.targets);
   // A fresh head means fresh drift state: old buffered ticks and the old
   // EWMA describe the pre-fit model.

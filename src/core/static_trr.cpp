@@ -8,6 +8,7 @@
 #include "highrpm/math/rng.hpp"
 #include "highrpm/math/stats.hpp"
 #include "highrpm/obs/obs.hpp"
+#include "highrpm/runtime/parallel_for.hpp"
 
 namespace highrpm::core {
 
@@ -67,20 +68,24 @@ StaticTrr::StaticTrr(StaticTrrConfig cfg) : cfg_(cfg) {
 }
 
 void StaticTrr::fit(const math::Matrix& pmcs, std::span<const double> times,
-                    std::span<const std::size_t> labeled_idx_in,
-                    std::span<const double> labeled_power_in) {
-  static obs::Histogram& fit_hist =
-      obs::Registry::instance().histogram("core.static_trr.fit_ns");
-  const obs::Span span(fit_hist);
-  if (labeled_idx_in.size() != labeled_power_in.size()) {
+                    std::span<const std::size_t> labeled_idx,
+                    std::span<const double> labeled_power) {
+  if (labeled_idx.size() != labeled_power.size()) {
     throw std::invalid_argument(
         "StaticTrr::fit: labeled idx/power length mismatch");
   }
+  fit(pmcs, times,
+      clean_labeled_readings(labeled_idx, labeled_power, times.size()));
+}
+
+void StaticTrr::fit(const math::Matrix& pmcs, std::span<const double> times,
+                    CleanedReadings cleaned) {
+  static obs::Histogram& fit_hist =
+      obs::Registry::instance().histogram("core.static_trr.fit_ns");
+  const obs::Span span(fit_hist);
   if (pmcs.rows() != times.size()) {
     throw std::invalid_argument("StaticTrr::fit: pmcs/times length mismatch");
   }
-  CleanedReadings cleaned =
-      clean_labeled_readings(labeled_idx_in, labeled_power_in, times.size());
   if (cfg_.p_bottom > 0.0 || cfg_.p_upper > 0.0) {
     // Explicitly configured plausibility bounds (e.g. the node's power
     // envelope from the training rig) also veto implausible *readings* —
@@ -177,23 +182,29 @@ StaticTrrRestoration StaticTrr::restore(const math::Matrix& pmcs,
   const std::size_t n = times.size();
   out.splined.resize(n);
   out.residual.resize(n);
-  std::vector<double> scratch(pmcs.cols());
-  for (std::size_t i = 0; i < n; ++i) {
-    out.splined[i] = spline_(times[i]);
-    std::span<const double> row = pmcs.row(i);
-    if (!math::all_finite(row)) {  // degraded tick: zero the bad entries
-      copy_sanitized_row(row, scratch);
-      row = scratch;
+  // Each tick's spline value and tree walk depend on that tick alone, so
+  // the pool walks them in slices, each with its own row scratch.
+  runtime::parallel_for_slices(n, [&](std::size_t begin, std::size_t end) {
+    std::vector<double> scratch(pmcs.cols());
+    for (std::size_t i = begin; i < end; ++i) {
+      out.splined[i] = spline_(times[i]);
+      std::span<const double> row = pmcs.row(i);
+      if (!math::all_finite(row)) {  // degraded tick: zero the bad entries
+        copy_sanitized_row(row, scratch);
+        row = scratch;
+      }
+      out.residual[i] = out.splined[i] + res_model_.predict_one(row);
     }
-    out.residual[i] = out.splined[i] + res_model_.predict_one(row);
-  }
+  });
   out.merged = static_trr_post_process(out.splined, out.residual, p_upper_,
                                        p_bottom_, cfg_);
   return out;
 }
 
-std::vector<double> restore_node_power(const measure::CollectedRun& run,
-                                       const StaticTrrConfig& cfg) {
+namespace {
+
+/// The run's own IPMI readings, cleaned once.
+CleanedReadings run_readings(const measure::CollectedRun& run) {
   std::vector<std::size_t> idx;
   std::vector<double> power;
   idx.reserve(run.ipmi_readings.size());
@@ -202,14 +213,32 @@ std::vector<double> restore_node_power(const measure::CollectedRun& run,
     idx.push_back(r.tick_index);
     power.push_back(r.power_w);
   }
-  // Too few usable readings to spline (short run, or faults ate the rest):
-  // fall back to the dense target rather than failing deep inside fit.
-  const auto cleaned = clean_labeled_readings(idx, power, run.num_ticks());
-  if (cleaned.idx.size() < 4) return run.dataset.target("P_NODE");
+  return clean_labeled_readings(idx, power, run.num_ticks());
+}
+
+std::vector<double> restore_from(const measure::CollectedRun& run,
+                                 CleanedReadings readings,
+                                 const StaticTrrConfig& cfg) {
   StaticTrr trr(cfg);
   const auto times = run.truth.times();
-  trr.fit(run.dataset.features(), times, cleaned.idx, cleaned.power);
+  trr.fit(run.dataset.features(), times, std::move(readings));
   return trr.restore(run.dataset.features(), times).merged;
+}
+
+}  // namespace
+
+std::vector<double> restore_log_node_power(const measure::CollectedRun& log,
+                                           const StaticTrrConfig& cfg) {
+  return restore_from(log, run_readings(log), cfg);
+}
+
+std::vector<double> restore_node_power(const measure::CollectedRun& run,
+                                       const StaticTrrConfig& cfg) {
+  CleanedReadings readings = run_readings(run);
+  // Too few usable readings to spline (short run, or faults ate the rest):
+  // fall back to the dense target rather than failing deep inside fit.
+  if (readings.idx.size() < 4) return run.dataset.target("P_NODE");
+  return restore_from(run, std::move(readings), cfg);
 }
 
 std::vector<double> static_trr_post_process(std::span<const double> splined,

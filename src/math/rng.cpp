@@ -110,12 +110,16 @@ double Rng::exponential(double rate) {
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (std::size_t i = n; i-- > 1;) {
+  permutation_into(idx);
+  return idx;
+}
+
+void Rng::permutation_into(std::span<std::size_t> idx) {
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  for (std::size_t i = idx.size(); i-- > 1;) {
     const std::size_t j = uniform_index(i + 1);
     std::swap(idx[i], idx[j]);
   }
-  return idx;
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

@@ -20,6 +20,61 @@ void DecisionTreeRegressor::fit(const math::Matrix& x,
   fit_subset(x, y, rows);
 }
 
+// The split search needs each node's rows in (value, target) order for
+// every feature. Sorting them once at the root and stably partitioning each
+// feature's run by the chosen split keeps both children's runs in that order,
+// so no node sorts again. A node's run holds the same (value, target) pairs
+// the per-node sort produced, in the same order (pairs that compare equal are
+// equal, up to the sign of a zero, which changes no sum and no threshold), so
+// the scan finds the same splits bit for bit. Node statistics still sum over
+// `rows` in std::partition order, which keeps the leaf values bit-identical.
+struct DecisionTreeRegressor::Presorted {
+  Presorted(const math::Matrix& x, std::span<const double> y,
+            std::span<const std::size_t> subset)
+      : n(subset.size()),
+        rows(subset.begin(), subset.end()),
+        order(x.cols() * n),
+        spill(n),
+        feats(x.cols()),
+        goes_left(x.rows()) {
+    struct Key {
+      double value;
+      double target;
+      std::size_t row;
+    };
+    std::vector<Key> keys(n);
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      for (std::size_t i = 0; i < n; ++i) {
+        keys[i] = {x(rows[i], f), y[rows[i]], rows[i]};
+      }
+      std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+        return a.value < b.value ||
+               (!(b.value < a.value) && a.target < b.target);
+      });
+      const std::span<std::size_t> run = feature_run(f);
+      for (std::size_t i = 0; i < n; ++i) run[i] = keys[i].row;
+    }
+    std::iota(feats.begin(), feats.end(), 0);
+  }
+
+  std::span<std::size_t> feature_run(std::size_t f) {
+    return std::span(order).subspan(f * n, n);
+  }
+
+  std::size_t n;
+  /// The fit's rows; a node owns [begin, end), in std::partition order.
+  std::vector<std::size_t> rows;
+  /// Feature f's rows at [f * n, (f + 1) * n); a node's [begin, end) of
+  /// each run holds the node's rows sorted by (x(r, f), y[r]).
+  std::vector<std::size_t> order;
+  /// The right side of a stable partition, while the left side compacts.
+  std::vector<std::size_t> spill;
+  /// A node's candidate features: all of them, or a max_features draw.
+  std::vector<std::size_t> feats;
+  /// Per row of x: 1 when the node's split sends it left.
+  std::vector<unsigned char> goes_left;
+};
+
 void DecisionTreeRegressor::fit_subset(const math::Matrix& x,
                                        std::span<const double> y,
                                        std::span<const std::size_t> rows) {
@@ -29,22 +84,22 @@ void DecisionTreeRegressor::fit_subset(const math::Matrix& x,
   nodes_.clear();
   depth_ = 0;
   n_features_ = x.cols();
-  std::vector<std::size_t> work(rows.begin(), rows.end());
+  Presorted ps(x, y, rows);
   math::Rng rng(cfg_.seed);
-  build(x, y, work, 0, work.size(), 0, rng);
+  build(x, y, ps, 0, ps.n, 0, rng);
 }
 
 std::size_t DecisionTreeRegressor::build(const math::Matrix& x,
                                          std::span<const double> y,
-                                         std::vector<std::size_t>& rows,
-                                         std::size_t begin, std::size_t end,
-                                         std::size_t level, math::Rng& rng) {
+                                         Presorted& ps, std::size_t begin,
+                                         std::size_t end, std::size_t level,
+                                         math::Rng& rng) {
   depth_ = std::max(depth_, level);
   const std::size_t n = end - begin;
   // Node statistics.
   double sum = 0.0, sum_sq = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
-    const double v = y[rows[i]];
+    const double v = y[ps.rows[i]];
     sum += v;
     sum_sq += v * v;
   }
@@ -59,35 +114,32 @@ std::size_t DecisionTreeRegressor::build(const math::Matrix& x,
                          n >= cfg_.min_samples_split && node_sse > 1e-12;
   if (!can_split) return node_idx;
 
-  // Candidate features (optionally subsampled, for forests).
-  std::vector<std::size_t> feats;
+  // Candidate features (optionally subsampled, for forests): the draws of
+  // rng.sample_without_replacement, into the fit's buffer.
+  std::span<const std::size_t> feats = ps.feats;
   if (cfg_.max_features && *cfg_.max_features < n_features_) {
-    feats = rng.sample_without_replacement(n_features_, *cfg_.max_features);
-  } else {
-    feats.resize(n_features_);
-    std::iota(feats.begin(), feats.end(), 0);
+    rng.permutation_into(ps.feats);
+    feats = feats.first(*cfg_.max_features);
   }
 
   double best_gain = 1e-12;
   std::size_t best_feat = SIZE_MAX;
   double best_thresh = 0.0;
 
-  // Scratch: (feature value, target) pairs sorted per candidate feature.
-  std::vector<std::pair<double, double>> pairs(n);
   for (const std::size_t f : feats) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t r = rows[begin + i];
-      pairs[i] = {x(r, f), y[r]};
-    }
-    std::sort(pairs.begin(), pairs.end());
-    if (math::exact_eq(pairs.front().first, pairs.back().first)) {
+    const auto run = ps.feature_run(f).subspan(begin, n);
+    if (math::exact_eq(x(run.front(), f), x(run.back(), f))) {
       continue;  // constant feature
     }
     double left_sum = 0.0, left_sq = 0.0;
+    double next = x(run[0], f);
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      left_sum += pairs[i].second;
-      left_sq += pairs[i].second * pairs[i].second;
-      if (math::exact_eq(pairs[i].first, pairs[i + 1].first)) {
+      const double target = y[run[i]];
+      left_sum += target;
+      left_sq += target * target;
+      const double value = next;
+      next = x(run[i + 1], f);
+      if (math::exact_eq(value, next)) {
         continue;  // tie: no cut here
       }
       const std::size_t nl = i + 1;
@@ -103,25 +155,46 @@ std::size_t DecisionTreeRegressor::build(const math::Matrix& x,
       if (gain > best_gain) {
         best_gain = gain;
         best_feat = f;
-        best_thresh = 0.5 * (pairs[i].first + pairs[i + 1].first);
+        best_thresh = 0.5 * (value + next);
       }
     }
   }
   if (best_feat == SIZE_MAX) return node_idx;
 
   // Partition rows in place around the threshold.
-  const auto mid_it = std::partition(
-      rows.begin() + static_cast<std::ptrdiff_t>(begin),
-      rows.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t r) { return x(r, best_feat) <= best_thresh; });
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t r = ps.rows[i];
+    ps.goes_left[r] = x(r, best_feat) <= best_thresh;
+  }
+  const auto mid_it =
+      std::partition(ps.rows.begin() + static_cast<std::ptrdiff_t>(begin),
+                     ps.rows.begin() + static_cast<std::ptrdiff_t>(end),
+                     [&](std::size_t r) { return ps.goes_left[r] != 0; });
   const std::size_t mid =
-      static_cast<std::size_t>(mid_it - rows.begin());
+      static_cast<std::size_t>(mid_it - ps.rows.begin());
   if (mid == begin || mid == end) return node_idx;  // degenerate partition
+
+  // Stable-partition every feature's run the same way, so both children's
+  // runs stay sorted. Branch-free: each row is written to both sides and
+  // only its own side's cursor moves (left never passes the read cursor).
+  for (std::size_t f = 0; f < n_features_; ++f) {
+    const auto run = ps.feature_run(f).subspan(begin, n);
+    std::size_t left = 0, right = 0;
+    for (const std::size_t r : run) {
+      const std::size_t to_left = ps.goes_left[r];
+      run[left] = r;
+      ps.spill[right] = r;
+      left += to_left;
+      right += 1 - to_left;
+    }
+    std::copy_n(ps.spill.begin(), right,
+                run.begin() + static_cast<std::ptrdiff_t>(left));
+  }
 
   nodes_[node_idx].feature = best_feat;
   nodes_[node_idx].threshold = best_thresh;
-  const std::size_t left = build(x, y, rows, begin, mid, level + 1, rng);
-  const std::size_t right = build(x, y, rows, mid, end, level + 1, rng);
+  const std::size_t left = build(x, y, ps, begin, mid, level + 1, rng);
+  const std::size_t right = build(x, y, ps, mid, end, level + 1, rng);
   nodes_[node_idx].left = left;
   nodes_[node_idx].right = right;
   return node_idx;

@@ -74,6 +74,33 @@ TEST_F(HighRpmTest, RestoreLogCoversEveryTick) {
   EXPECT_LT(math::mape(truth, log.node_w), 12.0);
 }
 
+TEST_F(HighRpmTest, RestoreLogNeedsFourReadings) {
+  // A log has no dense power column to fall back to: below four usable IM
+  // readings StaticTRR cannot spline it, and restore_log must say so rather
+  // than hand back the simulator's P_NODE. Training runs keep that fallback
+  // (restore_node_power), since they carry the rig's dense label by design.
+  measure::Collector collector;
+  const auto short_log = collector.collect(sim::PlatformConfig::arm(),
+                                           workloads::fft(), 30, 21);
+  ASSERT_EQ(short_log.ipmi_readings.size(), 3u);
+  EXPECT_THROW(framework_->restore_log(short_log), std::invalid_argument);
+  StaticTrrConfig sc = framework_->config().static_trr;
+  sc.miss_interval = framework_->config().miss_interval;
+  EXPECT_EQ(restore_node_power(short_log, sc),
+            short_log.dataset.target("P_NODE"));
+
+  const auto log = collector.collect(sim::PlatformConfig::arm(),
+                                     workloads::fft(), 35, 22);
+  ASSERT_EQ(log.ipmi_readings.size(), 4u);
+  const auto restored = framework_->restore_log(log);
+  ASSERT_EQ(restored.node_w.size(), 35u);
+  EXPECT_NE(restored.node_w, log.dataset.target("P_NODE"));
+  for (std::size_t t = 0; t < 35; ++t) {
+    EXPECT_TRUE(std::isfinite(restored.node_w[t]));
+    EXPECT_TRUE(std::isfinite(restored.cpu_w[t]));
+  }
+}
+
 TEST_F(HighRpmTest, StreamingEstimatesAreConsistent) {
   HighRpm h = *framework_;  // private copy so fine-tunes don't leak
   h.reset_stream();

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "highrpm/core/dynamic_trr.hpp"
@@ -134,6 +135,40 @@ TEST(AllocRegression, SrrPredictOneIsAllocationFree) {
   }
   EXPECT_EQ(at::count() - before, 0u)
       << "Srr::predict_one allocated with a warm scratch";
+}
+
+TEST(AllocRegression, RestoreLogAllocatesPerCallNotPerRow) {
+  // The offline path allocates its output vectors, the StaticTRR fit and
+  // one set of block-sized SRR buffers per slice, but nothing per row: an
+  // hour-long log must cost well under one allocation per 20 rows. At 1
+  // thread every slice runs on this thread, so all of it is metered.
+  runtime::set_thread_count(1);
+  measure::Collector collector;
+  std::vector<measure::CollectedRun> training;
+  training.push_back(collector.collect(sim::PlatformConfig::arm(),
+                                       workloads::fft(), 120, 7));
+  HighRpmConfig cfg;
+  cfg.dynamic_trr.rnn.epochs = 4;
+  cfg.srr.epochs = 10;
+  HighRpm model(cfg);
+  model.initial_learning(training);
+  const auto log = collector.collect(sim::PlatformConfig::arm(),
+                                     workloads::stream(), 3600, 8);
+  (void)model.restore_log(log);  // first call sizes the obs registry entries
+
+  const auto before = at::count();
+  LogRestoration restored;
+  {
+    const at::Armed armed;
+    restored = model.restore_log(log);
+  }
+  const auto allocs = at::count() - before;
+  ASSERT_EQ(restored.cpu_w.size(), 3600u);
+  ASSERT_TRUE(std::isfinite(restored.cpu_w.back()));
+  EXPECT_LT(static_cast<double>(allocs) / 3600.0, 0.05)
+      << "restore_log made " << allocs << " allocations for 3600 rows";
+  RecordProperty("allocations", std::to_string(allocs));
+  runtime::set_thread_count(0);
 }
 
 TEST(AllocRegression, FleetSteadyStateTickIsAllocationFree) {
