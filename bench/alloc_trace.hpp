@@ -16,8 +16,9 @@
 //
 // This is the enforcement hook behind the zero-allocation steady-state
 // contract: after warm-up, the DynamicTRR and SRR predict paths perform no
-// heap allocations per tick (tests/perf/alloc_regression_test.cpp asserts
-// a delta of zero; bench_fleet_scaling reports allocations/tick).
+// heap allocations per tick (tests/perf/alloc_regression_test.cpp and
+// tests/serve/serve_alloc_test.cpp assert a delta of zero; bench_e2e
+// reports serve.allocs_per_tick).
 #pragma once
 
 #include <atomic>

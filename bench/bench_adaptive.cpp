@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "highrpm/adapt/controller.hpp"
 #include "highrpm/core/highrpm.hpp"
 #include "highrpm/measure/collector.hpp"
@@ -59,35 +60,17 @@ struct AdaptiveOptions {
   std::uint64_t seed = 2023;
 };
 
-void print_usage(std::FILE* to, const char* prog) {
-  std::fprintf(to,
-               "usage: %s [--quick|--full] [--help]\n"
-               "  --quick  short streams, few epochs (golden-gated)\n"
-               "  --full   full sweep (default)\n",
-               prog);
-}
-
-AdaptiveOptions parse_args(int argc, char** argv) {
+/// --quick: short streams, few epochs (golden-gated); the default is the
+/// full sweep, so --full selects the defaults.
+AdaptiveOptions options_from_args(int argc, char** argv) {
   AdaptiveOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout, argv[0]);
-      std::exit(0);
-    } else if (arg == "--quick") {
-      opt.quick = true;
-      opt.train_ticks = 160;
-      opt.ticks = 600;
-      opt.rnn_epochs = 8;
-      opt.srr_epochs = 25;
-    } else if (arg == "--full") {
-      opt = AdaptiveOptions{};
-    } else {
-      std::fprintf(stderr, "bench_adaptive: unknown argument '%s'\n",
-                   arg.c_str());
-      print_usage(stderr, argv[0]);
-      std::exit(2);
-    }
+  if (highrpm::bench::parse_preset(argc, argv) ==
+      highrpm::bench::Preset::kQuick) {
+    opt.quick = true;
+    opt.train_ticks = 160;
+    opt.ticks = 600;
+    opt.rnn_epochs = 8;
+    opt.srr_epochs = 25;
   }
   return opt;
 }
@@ -341,7 +324,7 @@ void write_json(const AdaptiveOptions& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const AdaptiveOptions opt = parse_args(argc, argv);
+  const AdaptiveOptions opt = options_from_args(argc, argv);
 
   // One golden restoration model per mode, same training data: the
   // adaptive golden additionally fits the cheap DT ResModel and carries

@@ -39,13 +39,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "highrpm/core/highrpm.hpp"
 #include "highrpm/measure/collector.hpp"
 #include "highrpm/sim/platform.hpp"
@@ -65,38 +65,20 @@ struct AttributionOptions {
   std::uint64_t seed = 7041;
 };
 
-void print_usage(std::FILE* to, const char* prog) {
-  std::fprintf(to,
-               "usage: %s [--quick|--full] [--help]\n"
-               "  --quick  short streams, few epochs (golden-gated)\n"
-               "  --full   full sweep (default)\n",
-               prog);
-}
-
-AttributionOptions parse_args(int argc, char** argv) {
+/// --quick: short streams, few epochs (golden-gated); the default is the
+/// full sweep, so --full selects the defaults.
+AttributionOptions options_from_args(int argc, char** argv) {
   AttributionOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout, argv[0]);
-      std::exit(0);
-    } else if (arg == "--quick") {
-      opt.quick = true;
-      opt.train_ticks = 160;
-      opt.eval_ticks = 240;
-      opt.pre_ticks = 200;
-      opt.post_ticks = 200;
-      opt.rnn_epochs = 6;
-      opt.srr_epochs = 20;
-      opt.tenant_epochs = 30;
-    } else if (arg == "--full") {
-      opt = AttributionOptions{};
-    } else {
-      std::fprintf(stderr, "bench_attribution: unknown argument '%s'\n",
-                   arg.c_str());
-      print_usage(stderr, argv[0]);
-      std::exit(2);
-    }
+  if (highrpm::bench::parse_preset(argc, argv) ==
+      highrpm::bench::Preset::kQuick) {
+    opt.quick = true;
+    opt.train_ticks = 160;
+    opt.eval_ticks = 240;
+    opt.pre_ticks = 200;
+    opt.post_ticks = 200;
+    opt.rnn_epochs = 6;
+    opt.srr_epochs = 20;
+    opt.tenant_epochs = 30;
   }
   return opt;
 }
@@ -379,7 +361,7 @@ void write_json(const AttributionOptions& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const AttributionOptions opt = parse_args(argc, argv);
+  const AttributionOptions opt = options_from_args(argc, argv);
   std::vector<CellResult> cells;
 
   // Part 1: attribution error vs tenant count.

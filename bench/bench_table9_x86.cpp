@@ -1,8 +1,10 @@
 // Table 9: HighRPM on the x86 platform, unseen applications only.
 //
-// The x86 system exposes RAPL-grade readings; the experiment deliberately
-// sparsifies them to a miss_interval of 10 s (0.1 Sa/s) and evaluates both
-// temporal restoration (P_Node) and spatial restoration (P_CPU, P_MEM).
+// The paper reads RAPL through perf and sparsifies it to 0.1 Sa/s. Here the
+// corpus is collected on the x86 preset with the same IpmiSensor model the
+// ARM tables use, at a miss_interval of 10 s (0.1 Sa/s), and the component
+// labels come from the direct-measurement rig. Both temporal restoration
+// (P_Node) and spatial restoration (P_CPU, P_MEM) are evaluated.
 // Paper headline: DynamicTRR 3.48% MAPE (4-10 points better than the
 // alternatives); SRR ~9.9% CPU / 10.6% MEM; all errors slightly above the
 // ARM numbers because of the higher clock.

@@ -4,10 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <string_view>
 
 #include "highrpm/core/dynamic_trr.hpp"
 #include "highrpm/core/srr.hpp"
@@ -21,20 +22,59 @@
 
 namespace highrpm::bench {
 
+namespace {
+
+void print_usage(std::FILE* to, const std::string& prog) {
+  std::fprintf(to,
+               "usage: %s [--quick|--full] [--help]\n"
+               "  --quick  smoke-sized run\n"
+               "  --full   largest configuration\n"
+               "  neither  the bench's default size\n",
+               prog.c_str());
+}
+
+}  // namespace
+
+Preset parse_preset(int argc, char** argv) {
+  const std::string prog =
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "bench";
+  Preset preset = Preset::kDefault;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      preset = Preset::kQuick;
+    } else if (arg == "--full") {
+      preset = Preset::kFull;
+    } else if (arg == "--help" || arg == "-h") {
+      print_usage(stdout, prog);
+      std::exit(0);
+    } else {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", prog.c_str(),
+                   argv[i]);
+      print_usage(stderr, prog);
+      std::exit(2);
+    }
+  }
+  return preset;
+}
+
 Options Options::from_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+  switch (parse_preset(argc, argv)) {
+    case Preset::kQuick:
       opt.samples_per_suite = 90;
       opt.max_workloads_per_suite = 2;
       opt.rnn_epochs = 8;
       opt.srr_epochs = 25;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
+      break;
+    case Preset::kFull:
       opt.samples_per_suite = 1000;
       opt.max_workloads_per_suite = 0;  // every workload
       opt.rnn_epochs = 30;
       opt.srr_epochs = 80;
-    }
+      break;
+    case Preset::kDefault:
+      break;
   }
   return opt;
 }

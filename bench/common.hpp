@@ -29,6 +29,16 @@
 
 namespace highrpm::bench {
 
+/// The run size a bench command line selects.
+enum class Preset { kDefault, kQuick, kFull };
+
+/// The one command-line parser every bench uses. It accepts --quick and
+/// --full (the last one given wins) and --help/-h, which prints the usage
+/// text and exits 0. Any other argument prints "<prog>: unknown argument
+/// '<arg>'" and the usage text to stderr and exits 2, so a typo never
+/// starts the default sweep.
+Preset parse_preset(int argc, char** argv);
+
 struct Options {
   std::size_t samples_per_suite = 600;
   std::size_t max_workloads_per_suite = 5;
@@ -41,8 +51,8 @@ struct Options {
   std::size_t dynamic_trr_stride = 1;
   std::uint64_t seed = 2023;
 
-  /// Parse CLI args: "--quick" shrinks everything for smoke runs,
-  /// "--full" approaches the paper's 1000 samples/suite.
+  /// Parse CLI args with parse_preset: "--quick" shrinks everything for
+  /// smoke runs, "--full" approaches the paper's 1000 samples/suite.
   static Options from_args(int argc, char** argv);
 
   core::ProtocolConfig protocol(

@@ -17,7 +17,6 @@
 // thread count.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -49,14 +48,6 @@ class FleetStepper {
   /// mutates its weights.
   FleetStepper(const HighRpm& golden, std::size_t nodes, FleetConfig cfg = {});
 
-  /// Per-shard callbacks invoked on the thread executing the shard,
-  /// immediately before and after its work — the hook the fleet bench uses
-  /// for per-thread alloc-trace arming.
-  struct ShardHooks {
-    std::function<void(std::size_t)> before;
-    std::function<void(std::size_t)> after;
-  };
-
   /// Step every lane one tick. pmcs is nodes x F (row i = node i's sampled
   /// PMC rates); readings[i] is node i's IM reading when this tick carried
   /// one; out[i] receives node i's estimate. Zero heap allocations per
@@ -71,7 +62,7 @@ class FleetStepper {
   /// attribution (out[i].tenants stays 0).
   void step_tick(const math::Matrix& pmcs,
                  std::span<const std::optional<double>> readings,
-                 std::span<PowerEstimate> out, const ShardHooks& hooks = {},
+                 std::span<PowerEstimate> out,
                  const math::Matrix* tenant_pmcs = nullptr);
 
   /// Caller-owned scratch for step_cohort (see CohortScratch).

@@ -79,6 +79,9 @@ class HighRpm {
   /// reinforcement subset, and fine-tune DynamicTRR and SRR. SRR component
   /// pseudo-labels come from its own predictions rescaled so that
   /// cpu + mem = node - P_Other (the bi-directional consistency constraint).
+  /// A run with fewer than four usable IM readings cannot be restored (as
+  /// in restore_log) and gives no round: nothing is fine-tuned and
+  /// active_learning_rounds() does not change.
   void active_learning(const measure::CollectedRun& run);
 
   /// Offline log analysis: StaticTRR node restoration + SRR breakdown. The

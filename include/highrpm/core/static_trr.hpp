@@ -70,6 +70,10 @@ CleanedReadings clean_labeled_readings(std::span<const std::size_t> idx,
                                        std::span<const double> power,
                                        std::size_t num_ticks);
 
+/// clean_labeled_readings over a run's own IPMI readings: what
+/// restore_log_node_power and restore_node_power fit on.
+CleanedReadings clean_run_readings(const measure::CollectedRun& run);
+
 class StaticTrr {
  public:
   explicit StaticTrr(StaticTrrConfig cfg = {});

@@ -78,7 +78,7 @@ struct DaemonConfig {
   bool pin_consumers = false;
   /// Per-cycle callbacks on the consumer thread, immediately around each
   /// drain cycle — the hook the alloc-trace harness uses for per-thread
-  /// arming (mirrors FleetStepper::ShardHooks).
+  /// arming.
   struct CycleHooks {
     std::function<void(std::size_t)> before;
     std::function<void(std::size_t)> after;

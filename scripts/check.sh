@@ -18,8 +18,8 @@
 #             mutant-catching gate)
 #   perf      ctest -L perf-smoke in a release build: zero-allocation
 #             steady-state contract (per-node + batched fleet + serve
-#             consume paths) and fleet-stepper determinism
-#             (serial == N=1 == N=64 CSVs)
+#             consume paths); fleet-stepper determinism runs in the werror
+#             and tsan steps (FleetDeterminismTest in test_runtime)
 #   soak      HIGHRPM_SOAK=1 ctest -L soak in the werror build: long-run
 #             daemon determinism (byte-identical final snapshots across
 #             consumer thread counts under real producer threads)
@@ -122,7 +122,7 @@ step_verify() {
 }
 
 step_perf() {
-  note "perf: zero-allocation + sharding determinism (ctest -L perf-smoke)"
+  note "perf: zero-allocation steady state (ctest -L perf-smoke)"
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS" -L perf-smoke

@@ -66,7 +66,6 @@ LaneModels FleetStepper::models() const {
 void FleetStepper::step_tick(const math::Matrix& pmcs,
                              std::span<const std::optional<double>> readings,
                              std::span<PowerEstimate> out,
-                             const ShardHooks& hooks,
                              const math::Matrix* tenant_pmcs) {
   static obs::Histogram& shard_hist =
       obs::Registry::instance().histogram("core.fleet.shard_tick_ns");
@@ -80,21 +79,16 @@ void FleetStepper::step_tick(const math::Matrix& pmcs,
   }
   // One parallel_for index per shard; each shard owns its lane range and
   // scratch, so scheduling only changes when a shard runs, never what it
-  // computes. The hooks run on the executing thread so alloc-trace arming
-  // meters exactly the shard work, not the pool dispatch. A shard's lanes
-  // are consecutive rows of the fleet matrix, so the shard tick is a
-  // step_cohort over positional subspans — no staging copies.
+  // computes. A shard's lanes are consecutive rows of the fleet matrix, so
+  // the shard tick is a step_cohort over positional subspans — no staging
+  // copies.
   runtime::parallel_for(shards_.size(), [&](std::size_t s) {
     Shard& ss = shards_[s];
     const std::size_t lanes = ss.end - ss.begin;
-    if (hooks.before) hooks.before(s);
-    {
-      const obs::Span span(shard_hist);
-      step_cohort(ss.ids, pmcs, ss.begin, readings.subspan(ss.begin, lanes),
-                  out.subspan(ss.begin, lanes), ss.scratch, tenant_pmcs,
-                  ss.begin);
-    }
-    if (hooks.after) hooks.after(s);
+    const obs::Span span(shard_hist);
+    step_cohort(ss.ids, pmcs, ss.begin, readings.subspan(ss.begin, lanes),
+                out.subspan(ss.begin, lanes), ss.scratch, tenant_pmcs,
+                ss.begin);
   });
 }
 

@@ -83,7 +83,12 @@ void HighRpm::active_learning(const measure::CollectedRun& run) {
   if (!trained()) {
     throw std::logic_error("HighRpm::active_learning: run initial_learning first");
   }
-  const auto restored = restore_node_power(run, static_config());
+  // Reinforcement labels are restored node power, and restoring takes four
+  // usable IM readings (as in restore_log). With fewer, a deployment has no
+  // label to learn from, so no round runs: the run's dense P_NODE column is
+  // simulator truth.
+  if (clean_run_readings(run).idx.size() < 4) return;
+  const auto restored = restore_log_node_power(run, static_config());
   const auto drawn = sampler_.draw(run.measured);
   const auto& features = run.dataset.features();
   // Reinforcement samples must be usable numbers: drop any tick whose

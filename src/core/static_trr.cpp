@@ -201,10 +201,7 @@ StaticTrrRestoration StaticTrr::restore(const math::Matrix& pmcs,
   return out;
 }
 
-namespace {
-
-/// The run's own IPMI readings, cleaned once.
-CleanedReadings run_readings(const measure::CollectedRun& run) {
+CleanedReadings clean_run_readings(const measure::CollectedRun& run) {
   std::vector<std::size_t> idx;
   std::vector<double> power;
   idx.reserve(run.ipmi_readings.size());
@@ -215,6 +212,8 @@ CleanedReadings run_readings(const measure::CollectedRun& run) {
   }
   return clean_labeled_readings(idx, power, run.num_ticks());
 }
+
+namespace {
 
 std::vector<double> restore_from(const measure::CollectedRun& run,
                                  CleanedReadings readings,
@@ -229,12 +228,12 @@ std::vector<double> restore_from(const measure::CollectedRun& run,
 
 std::vector<double> restore_log_node_power(const measure::CollectedRun& log,
                                            const StaticTrrConfig& cfg) {
-  return restore_from(log, run_readings(log), cfg);
+  return restore_from(log, clean_run_readings(log), cfg);
 }
 
 std::vector<double> restore_node_power(const measure::CollectedRun& run,
                                        const StaticTrrConfig& cfg) {
-  CleanedReadings readings = run_readings(run);
+  CleanedReadings readings = clean_run_readings(run);
   // Too few usable readings to spline (short run, or faults ate the rest):
   // fall back to the dense target rather than failing deep inside fit.
   if (readings.idx.size() < 4) return run.dataset.target("P_NODE");

@@ -129,6 +129,27 @@ TEST_F(HighRpmTest, ActiveLearningRunsAndCounts) {
   EXPECT_EQ(h.active_learning_rounds(), before + 1);
 }
 
+TEST_F(HighRpmTest, ActiveLearningSkipsRunTooShortToRestore) {
+  // Active learning fine-tunes on restored node power. Below four usable
+  // IM readings there is nothing to restore from, and the run's dense
+  // P_NODE column is simulator truth no deployment has: no round runs and
+  // no weight moves.
+  HighRpm h = *framework_;
+  measure::Collector collector;
+  const auto short_run = collector.collect(sim::PlatformConfig::arm(),
+                                           workloads::fft(), 30, 21);
+  ASSERT_EQ(short_run.ipmi_readings.size(), 3u);
+  ASSERT_EQ(h.active_learning_rounds(), 0u);
+  const auto row = short_run.dataset.features().row(15);
+  const double node_w = short_run.ipmi_readings.front().power_w;
+  const auto before = h.srr().predict_one(row, node_w);
+  h.active_learning(short_run);
+  EXPECT_EQ(h.active_learning_rounds(), 0u);
+  const auto after = h.srr().predict_one(row, node_w);
+  EXPECT_EQ(after.cpu_w, before.cpu_w);
+  EXPECT_EQ(after.mem_w, before.mem_w);
+}
+
 TEST_F(HighRpmTest, ClonesLearnIndependently) {
   // Per-node instances are clones of one golden model (paper §4.1):
   // active-learning one clone leaves the other and the golden untouched.

@@ -2,6 +2,8 @@
 #include <cstdio>
 #include <iostream>
 
+#include "highrpm/no_pragma.hpp"  // a consumer: only pragma-once fires there
+
 void bad_cout(int x) { std::cout << x << '\n'; }
 
 void bad_cerr(int x) { std::cerr << x << '\n'; }

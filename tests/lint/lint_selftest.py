@@ -114,6 +114,15 @@ class BadFixtureTree(unittest.TestCase):
     def test_pragma_once_fires(self):
         self.assert_finding("include/highrpm/no_pragma.hpp", "pragma-once")
 
+    def test_orphan_header_fires_on_exactly_the_orphans(self):
+        # ml/search.hpp: only its own implementation and a test include it.
+        # data/folds.hpp: only that orphan's implementation includes it.
+        # no_pragma.hpp has a library consumer, so it is no orphan.
+        hits = sorted(ln.split(":", 1)[0] for ln in self.out.splitlines()
+                      if "[orphan-header]" in ln)
+        self.assertEqual(hits, ["include/highrpm/data/folds.hpp",
+                                "include/highrpm/ml/search.hpp"], self.out)
+
     def test_comments_strings_and_exemptions_stay_clean(self):
         noise = [ln for ln in self.out.splitlines()
                  if "clean_despite_mentions.cpp" in ln]
@@ -130,7 +139,8 @@ class GoodFixtureTree(unittest.TestCase):
         # src/serve/relaxed_justified.cpp (same-line and preceding-line
         # justified markers), src/obs/relaxed_counter.cpp (obs needs no
         # marker), and src/verify/model_threads.cpp (verify/ may spawn
-        # std::thread and use bare relaxed) must all stay clean.
+        # std::thread and use bare relaxed) must all stay clean. For
+        # orphan-header: src/core/uses_clean.cpp consumes clean.hpp.
         proc = run_lint("--root", str(FIXTURES / "good"))
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("0 findings", proc.stdout)
@@ -143,7 +153,7 @@ class CliContract(unittest.TestCase):
         for rule in ("rng-source", "library-io", "library-file-io",
                      "float-compare", "sensor-isfinite",
                      "thread-outside-runtime", "memory-order-audit",
-                     "alloc-in-step", "pragma-once"):
+                     "alloc-in-step", "pragma-once", "orphan-header"):
             self.assertIn(rule, proc.stdout)
 
     def test_bad_root_is_usage_error(self):

@@ -339,7 +339,7 @@ void expect_tenant_fleet_tick_allocation_free(bool self_cal) {
       readings[i] = self_cal && t % mi == 0 ? std::optional<double>(labels[r])
                                             : std::nullopt;
     }
-    fleet.step_tick(pmcs, readings, out, {}, &trows);
+    fleet.step_tick(pmcs, readings, out, &trows);
     for (std::size_t i = 0; i < nodes; ++i) measured += out[i].measured;
   };
   const std::size_t warmup = 2 * mi + 1;

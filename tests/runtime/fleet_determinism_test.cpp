@@ -50,8 +50,8 @@ HighRpm train_golden(bool online_finetune) {
 }
 
 /// Per-node deployment streams, fixed once per suite. Node i's trace
-/// depends only on i (same derivation as the fleet bench), so the serial
-/// reference and every fleet shape replay identical inputs.
+/// depends only on i, so the serial reference and every fleet shape replay
+/// identical inputs.
 std::vector<measure::CollectedRun> collect_streams(std::size_t nodes) {
   measure::Collector collector;
   std::vector<measure::CollectedRun> runs;
@@ -175,10 +175,12 @@ HighRpm* FleetDeterminismTest::shared_golden_ = nullptr;
 HighRpm* FleetDeterminismTest::finetune_golden_ = nullptr;
 
 TEST_P(FleetDeterminismTest, SharedRnnFleetMatchesSerialBitForBit) {
-  // Shared weights: the one-GEMM-per-layer cross-node fast path.
+  // Shared weights: the one-GEMM-per-layer cross-node fast path. 70 nodes
+  // at 64 lanes is one full shard plus a ragged 6-lane one, so the second
+  // shard's rows start mid-matrix.
   EXPECT_THROW(FleetStepper(*shared_golden_, 0), std::invalid_argument);
   for (const std::size_t nodes : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{5}}) {
+                                  std::size_t{5}, std::size_t{70}}) {
     expect_fleet_matches_serial(*shared_golden_, nodes);
   }
 }
@@ -477,7 +479,7 @@ void expect_tenant_fleet_matches_facade(
       std::copy(trow.begin(), trow.end(), trows.row(i).begin());
       readings[i] = in.reading;
     }
-    fleet.step_tick(pmcs, readings, out, {}, &trows);
+    fleet.step_tick(pmcs, readings, out, &trows);
     for (std::size_t i = 0; i < nodes; ++i) {
       ASSERT_EQ(out[i].node_w, reference[i][t].node_w)
           << "node " << i << " tick " << t;
@@ -681,10 +683,10 @@ TEST(FleetAttribution, StepTickValidatesTenantMatrixShape) {
   std::vector<std::optional<double>> readings(3);
   std::vector<PowerEstimate> out(3);
   math::Matrix bad_rows(2, kTenants * sim::kNumPmcEvents);
-  EXPECT_THROW(fleet.step_tick(pmcs, readings, out, {}, &bad_rows),
+  EXPECT_THROW(fleet.step_tick(pmcs, readings, out, &bad_rows),
                std::invalid_argument);
   math::Matrix bad_cols(3, kTenants * sim::kNumPmcEvents + 1);
-  EXPECT_THROW(fleet.step_tick(pmcs, readings, out, {}, &bad_cols),
+  EXPECT_THROW(fleet.step_tick(pmcs, readings, out, &bad_cols),
                std::invalid_argument);
 }
 

@@ -3,8 +3,7 @@
 // scratch are warm, a drain cycle — pop, held bridging, step_cohort,
 // seqlock publish, histogram record — performs no heap allocations.
 // Metered with the per-thread counting hook from bench/alloc_trace.hpp,
-// armed on the consumer thread via DaemonConfig::CycleHooks (the serve
-// mirror of the fleet bench's ShardHooks arming).
+// armed on the consumer thread via DaemonConfig::CycleHooks.
 //
 // alloc_trace.hpp must live in exactly one TU per binary; this file is
 // that TU for test_serve_perf.

@@ -65,6 +65,18 @@ hygiene:
                         constructions (locals / temporaries) are flagged.
   pragma-once           Every header starts (after leading comments) with
                         #pragma once.
+  orphan-header         Every public header under include/highrpm/ has a
+                        consumer outside the tests: a file under src/,
+                        bench/, bench_e2e/ or examples/ includes it, or a
+                        consumed header does. The implementation of an
+                        unconsumed header (src/<same path>.cpp) is no
+                        consumer, so a header's own .cpp never keeps it
+                        alive, nor does a header that only such a file
+                        includes. Tests never count: code that only its
+                        tests read serves no experiment, bench or example.
+                        A whole-tree rule, computed over --root;
+                        include/highrpm/verify/ is exempt (the model
+                        checker's headers exist for tests/verify).
 
 A line can be exempted with a trailing comment containing
 HIGHRPM_LINT_ALLOW(<rule-id>); use sparingly and explain why.
@@ -90,6 +102,8 @@ from pathlib import Path
 
 LIBRARY_DIRS = ("src", "include")
 SCAN_DIRS = ("src", "include", "bench", "examples", "tests")
+# Directories whose files count as consumers of a public header.
+CONSUMER_DIRS = ("src", "bench", "bench_e2e", "examples")
 SKIP_DIR_NAMES = {".git", "bench_out", "fixtures", "__pycache__"}
 SKIP_DIR_PREFIXES = ("build",)
 CPP_SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".h", ".hh"}
@@ -110,11 +124,17 @@ ISFINITE_REQUIRED = (
     "src/measure/ipmi.cpp",
     "src/measure/direct.cpp",
     "src/measure/pmc_sampler.cpp",
-    "src/measure/rapl.cpp",
     "src/data/csv.cpp",
 )
 
+# Public headers exempt from orphan-header: the model checker's verify.hpp
+# and model.hpp exist for tests/verify (ctest -L verify), which drives the
+# shipped serve/obs templates through them; the library never includes
+# them.
+ORPHAN_EXEMPT_PREFIXES = ("include/highrpm/verify/",)
+
 ALLOW_MARKER = re.compile(r"HIGHRPM_LINT_ALLOW\(([a-z0-9-]+)\)")
+PUBLIC_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"](highrpm/[^">]+)[">]')
 
 # --------------------------------------------------------------------------
 # Rules
@@ -282,6 +302,8 @@ RULES = {
                      "function (step / step_* / cell_step / *_into / "
                      "*_batch) in library code",
     "pragma-once": "header missing #pragma once",
+    "orphan-header": "public header that no file under src/, bench/, "
+                     "bench_e2e/ or examples/ reaches (tests do not count)",
 }
 
 
@@ -482,9 +504,9 @@ def lint_file(path: Path, root: Path) -> list[Finding]:
     return findings
 
 
-def collect_files(root: Path) -> list[Path]:
+def collect_files(root: Path, dirs: tuple[str, ...] = SCAN_DIRS) -> list[Path]:
     files: list[Path] = []
-    for scan in SCAN_DIRS:
+    for scan in dirs:
         base = root / scan
         if not base.is_dir():
             continue
@@ -498,6 +520,54 @@ def collect_files(root: Path) -> list[Path]:
                 if p.suffix in CPP_SUFFIXES:
                     files.append(p)
     return files
+
+
+def public_includes(path: Path) -> set[str]:
+    """The include/highrpm/ headers a file includes, as root-relative paths."""
+    text = path.read_text(encoding="utf-8", errors="replace")
+    return {"include/" + m.group(1) for line in text.splitlines()
+            if (m := PUBLIC_INCLUDE.match(line))}
+
+
+def orphan_headers(root: Path) -> list[Finding]:
+    """orphan-header over the whole tree: the consumed headers are the least
+    fixed point of "a counted consumer file includes it" and "a consumed
+    header includes it", so headers that only reach each other stay
+    orphaned."""
+    headers = {rel(p, root): public_includes(p)
+               for p in collect_files(root, ("include",))
+               if p.suffix in HEADER_SUFFIXES
+               and rel(p, root).startswith("include/highrpm/")}
+    sources = {rel(p, root): public_includes(p)
+               for p in collect_files(root, CONSUMER_DIRS)}
+
+    def implemented(source: str) -> str | None:
+        """The public header `source` implements (src/<same path>.cpp)."""
+        path = Path(source)
+        if path.parts[0] != "src" or path.suffix != ".cpp":
+            return None
+        header = Path("include", "highrpm", *path.parts[1:]).with_suffix(
+            ".hpp").as_posix()
+        return header if header in headers else None
+
+    consumed: set[str] = set()
+    while True:
+        before = len(consumed)
+        for source, included in sources.items():
+            impl = implemented(source)
+            if impl is None or impl in consumed:
+                consumed |= included & headers.keys()
+        for header in list(consumed):
+            consumed |= headers[header] & headers.keys()
+        if len(consumed) == before:
+            break
+    return [Finding(header, 1, "orphan-header",
+                    "no file under src/, bench/, bench_e2e/ or examples/ "
+                    "reaches this header (tests do not count) — give it a "
+                    "consumer or delete it")
+            for header in sorted(headers)
+            if header not in consumed
+            and not header.startswith(ORPHAN_EXEMPT_PREFIXES)]
 
 
 def compile_headers(root: Path) -> list[Finding]:
@@ -566,6 +636,11 @@ def main(argv: list[str]) -> int:
     findings: list[Finding] = []
     for f in files:
         findings.extend(lint_file(f, root))
+    orphans = orphan_headers(root)
+    if args.files:
+        wanted = {rel(f, root) for f in files}
+        orphans = [o for o in orphans if o.path in wanted]
+    findings.extend(orphans)
     if args.compile_headers:
         findings.extend(compile_headers(root))
 
